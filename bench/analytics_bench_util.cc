@@ -116,7 +116,7 @@ int RunAnalyticsFigure(int argc, char** argv,
             : std::vector<Edge>();
 
     // The dataset's oracle: the same edges in a reference store (weighted
-    // when the figure needs weights), snapshotted and run sequentially.
+    // when the figure needs weights), snapshotted and run at one lane.
     // Untimed — it gates correctness, not the reported cells.
     analytics::KernelResult oracle;
     {

@@ -7,7 +7,7 @@
 // extract cost) plus the kernel over the flat CSR.
 //
 // Every cell is oracle-checked: the kernel's KernelResult is compared
-// against a reference run (sequential, on a reference store holding the
+// against a reference run (one lane, on a reference store holding the
 // same edges) — aggregates exactly, per-node values to spec.tolerance.
 // A diverging cell prints the delta and fails the whole binary with a
 // non-zero exit, so the CI smoke runs (--scale 0.01) double as

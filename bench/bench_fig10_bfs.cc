@@ -1,8 +1,9 @@
 // Figure 10: running time of BFS on the seven datasets (Section V-E1).
 // Methodology: insert the whole dataset, snapshot it, then BFS from the
 // highest-degree nodes; the cell charges the snapshot build plus the
-// traversals. Every cell's depths are oracle-checked (exact — level sets
-// are deterministic at any thread budget).
+// traversals. Every cell's depths are oracle-checked exactly. BFS runs
+// sequentially at any thread budget (--threads still parallelizes the
+// snapshot build).
 #include "analytics/bfs.h"
 #include "analytics_bench_util.h"
 

@@ -1,8 +1,8 @@
 // Figure 11: running time of SSSP (Section V-E2).
 // Methodology: insert the whole dataset (duplicate arrivals accumulate as
 // weight on weighted schemes), snapshot it with weights, run SSSP from
-// each of the 10 highest-degree nodes — Dijkstra at 1 thread, parallel
-// delta-stepping under --threads. Schemes without Capabilities().weighted
+// each of the 10 highest-degree nodes with delta-stepping over the
+// --threads budget. Schemes without Capabilities().weighted
 // cannot serve the weighted snapshot and skip the cell. Distances are
 // oracle-checked exactly: the fixed point is unique, whatever the path.
 #include "analytics/sssp.h"

@@ -1,7 +1,8 @@
 // Figure 14: running time of PageRank (Section V-E5).
 // Methodology: extract the top-degree subgraph, insert it into each scheme,
 // snapshot it, iterate 100 times over the CSR. Scores are oracle-checked
-// to 1e-9 per node — the parallel scatter reassociates float sums.
+// to 1e-9 per node. PageRank runs sequentially at any thread budget
+// (--threads still parallelizes the snapshot build).
 #include "analytics/pagerank.h"
 #include "analytics_bench_util.h"
 

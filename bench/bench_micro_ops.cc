@@ -222,30 +222,6 @@ BENCHMARK(BM_SnapshotBuildParallel)
     ->Args({100'000, 2})
     ->Args({100'000, 4});
 
-// Direction-optimizing BFS at a given lane count over the same graph as
-// BM_BfsOverCsr (arg 1 = threads; 1 = the sequential reference loop).
-void BM_BfsOverCsrParallel(benchmark::State& state) {
-  const auto workload =
-      MakeTraversalWorkload(static_cast<size_t>(state.range(0)));
-  CuckooGraph graph;
-  graph.InsertEdges(workload);
-  const auto snapshot = analytics::CsrSnapshot::FromStore(graph);
-  const NodeId root = workload[0].u;
-  analytics::KernelOptions opts;
-  opts.num_threads = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    const auto result =
-        analytics::bfs::Run(snapshot, Span<const NodeId>(&root, 1), opts);
-    benchmark::DoNotOptimize(result.aggregate);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(graph.NumEdges()));
-}
-BENCHMARK(BM_BfsOverCsrParallel)
-    ->Args({100'000, 1})
-    ->Args({100'000, 2})
-    ->Args({100'000, 4});
-
 void BM_BfsOverCsr(benchmark::State& state) {
   const auto workload =
       MakeTraversalWorkload(static_cast<size_t>(state.range(0)));

@@ -1,29 +1,14 @@
 #include "analytics/bfs.h"
 
-#include <atomic>
-#include <cstddef>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "analytics/frontier.h"
 
 namespace cuckoograph::analytics::bfs {
 
-namespace {
-
-// Direction-switch thresholds from the GAP benchmark suite: top-down hands
-// off to bottom-up when the frontier's scout count (sum of out-degrees)
-// exceeds the unexplored edge budget / kAlpha; bottom-up hands back when
-// the awake count drops under num_nodes / kBeta.
-constexpr uint64_t kAlpha = 15;
-constexpr uint64_t kBeta = 18;
-
-// The exact pre-parallel reference: sequential two-slot frontier loop.
-KernelResult RunSequential(const CsrSnapshot& graph,
-                           Span<const NodeId> sources,
-                           std::vector<DenseId>* parents) {
+KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
+                 const KernelOptions& opts, std::vector<DenseId>* parents) {
+  (void)opts;  // sequential at any budget — see the header contract
   KernelResult result;
   result.per_node.assign(graph.num_nodes(), kUnreached);
   if (parents != nullptr) parents->assign(graph.num_nodes(), kNoParent);
@@ -53,193 +38,6 @@ KernelResult RunSequential(const CsrSnapshot& graph,
     frontier.Advance();
   }
   return result;
-}
-
-// In-edge CSR (the snapshot transposed), built lazily on the first
-// bottom-up step — a pure top-down run never pays for it. Segment order is
-// scatter order, i.e. nondeterministic under a parallel build; bottom-up
-// only asks "is any in-neighbor in the frontier", so depths are unaffected
-// (which in-neighbor becomes the parent is not, and the contract says so).
-struct InCsr {
-  std::vector<size_t> offsets;   // num_nodes + 1
-  std::vector<DenseId> sources;  // per-vertex in-neighbor segments
-};
-
-InCsr BuildTranspose(const CsrSnapshot& graph, const KernelOptions& opts) {
-  const size_t n = graph.num_nodes();
-  InCsr in;
-  auto counts = std::make_unique<std::atomic<size_t>[]>(n);
-  for (size_t v = 0; v < n; ++v) {
-    counts[v].store(0, std::memory_order_relaxed);
-  }
-  KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      for (const DenseId v : graph.Neighbors(static_cast<DenseId>(u))) {
-        counts[v].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  in.offsets.assign(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    in.offsets[v + 1] =
-        in.offsets[v] + counts[v].load(std::memory_order_relaxed);
-  }
-  // Reuse counts[] as the scatter cursors.
-  for (size_t v = 0; v < n; ++v) {
-    counts[v].store(in.offsets[v], std::memory_order_relaxed);
-  }
-  in.sources.resize(graph.num_edges());
-  KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      for (const DenseId v : graph.Neighbors(static_cast<DenseId>(u))) {
-        const size_t slot = counts[v].fetch_add(1, std::memory_order_relaxed);
-        in.sources[slot] = static_cast<DenseId>(u);
-      }
-    }
-  });
-  return in;
-}
-
-// One frontier-parallel top-down step: claims unvisited successors of the
-// sparse frontier, appends them to `next`, and returns (discovered,
-// scout), scout being the out-degree sum of the discoveries.
-std::pair<uint64_t, uint64_t> TopDownStep(
-    const CsrSnapshot& graph, const KernelOptions& opts,
-    const std::vector<DenseId>& frontier, double depth,
-    AtomicVisitedBitmap& visited, std::vector<double>& dist,
-    std::vector<DenseId>& parent, std::vector<DenseId>& next) {
-  std::atomic<uint64_t> discovered{0};
-  std::atomic<uint64_t> scout{0};
-  std::mutex next_mu;
-  KernelParallelFor(opts, 0, frontier.size(), [&](size_t begin, size_t end) {
-    std::vector<DenseId> local;
-    uint64_t local_scout = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const DenseId u = frontier[i];
-      for (const DenseId v : graph.Neighbors(u)) {
-        if (!visited.TestAndSet(v)) continue;
-        dist[v] = depth;
-        parent[v] = u;
-        local_scout += graph.Degree(v);
-        local.push_back(v);
-      }
-    }
-    if (!local.empty()) {
-      discovered.fetch_add(local.size(), std::memory_order_relaxed);
-      scout.fetch_add(local_scout, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(next_mu);
-      next.insert(next.end(), local.begin(), local.end());
-    }
-  });
-  return {discovered.load(), scout.load()};
-}
-
-// One vertex-parallel bottom-up step: every unvisited vertex scans its
-// in-neighbors for a frontier member and claims itself on the first hit.
-// Returns the awake count (vertices discovered this step).
-uint64_t BottomUpStep(const CsrSnapshot& graph, const KernelOptions& opts,
-                      const InCsr& in, const AtomicVisitedBitmap& front,
-                      double depth, AtomicVisitedBitmap& visited,
-                      std::vector<double>& dist, std::vector<DenseId>& parent,
-                      AtomicVisitedBitmap& next) {
-  std::atomic<uint64_t> awake{0};
-  KernelParallelFor(opts, 0, graph.num_nodes(),
-                    [&](size_t begin, size_t end) {
-                      uint64_t local_awake = 0;
-                      for (size_t v = begin; v < end; ++v) {
-                        const DenseId dv = static_cast<DenseId>(v);
-                        if (visited.Test(dv)) continue;
-                        for (size_t s = in.offsets[v]; s < in.offsets[v + 1];
-                             ++s) {
-                          const DenseId u = in.sources[s];
-                          if (!front.Test(u)) continue;
-                          visited.Set(dv);
-                          dist[v] = depth;
-                          parent[v] = u;
-                          next.Set(dv);
-                          ++local_awake;
-                          break;
-                        }
-                      }
-                      awake.fetch_add(local_awake,
-                                      std::memory_order_relaxed);
-                    });
-  return awake.load();
-}
-
-KernelResult RunDirectionOptimizing(const CsrSnapshot& graph,
-                                    Span<const NodeId> sources,
-                                    const KernelOptions& opts,
-                                    std::vector<DenseId>* parents_out) {
-  const size_t n = graph.num_nodes();
-  KernelResult result;
-  result.per_node.assign(n, kUnreached);
-  std::vector<DenseId> parent(n, kNoParent);
-
-  AtomicVisitedBitmap visited(n);
-  std::vector<DenseId> frontier;
-  uint64_t scout_count = 0;
-  for (const DenseId s : ResolveSources(graph, sources)) {
-    visited.Set(s);
-    result.per_node[s] = 0.0;
-    parent[s] = s;
-    frontier.push_back(s);
-    scout_count += graph.Degree(s);
-    ++result.aggregate;
-  }
-
-  InCsr in;  // built on the first bottom-up switch
-  bool have_transpose = false;
-  uint64_t edges_to_check = graph.num_edges();
-  double depth = 0.0;
-  std::vector<DenseId> next;
-  while (!frontier.empty()) {
-    if (scout_count > edges_to_check / kAlpha) {
-      if (!have_transpose) {
-        in = BuildTranspose(graph, opts);
-        have_transpose = true;
-      }
-      AtomicVisitedBitmap front(n);
-      for (const DenseId u : frontier) front.Set(u);
-      uint64_t awake = frontier.size();
-      uint64_t old_awake;
-      do {
-        old_awake = awake;
-        AtomicVisitedBitmap next_front(n);
-        depth += 1.0;
-        awake = BottomUpStep(graph, opts, in, front, depth, visited,
-                             result.per_node, parent, next_front);
-        result.aggregate += awake;
-        front = std::move(next_front);
-      } while (awake > 0 &&
-               (awake >= old_awake || awake > n / kBeta));
-      frontier.clear();
-      for (DenseId v = 0; v < n; ++v) {
-        if (front.Test(v)) frontier.push_back(v);
-      }
-      scout_count = 1;  // force a fresh top-down estimate next pass
-    } else {
-      edges_to_check -= scout_count;
-      next.clear();
-      depth += 1.0;
-      const auto [discovered, scout] =
-          TopDownStep(graph, opts, frontier, depth, visited,
-                      result.per_node, parent, next);
-      result.aggregate += discovered;
-      scout_count = scout;
-      frontier.swap(next);
-    }
-  }
-  if (parents_out != nullptr) *parents_out = std::move(parent);
-  return result;
-}
-
-}  // namespace
-
-KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
-                 const KernelOptions& opts, std::vector<DenseId>* parents) {
-  if (opts.num_threads <= 1) return RunSequential(graph, sources, parents);
-  return RunDirectionOptimizing(graph, sources, opts, parents);
 }
 
 }  // namespace cuckoograph::analytics::bfs

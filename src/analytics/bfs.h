@@ -16,21 +16,14 @@ inline constexpr DenseId kNoParent = ~DenseId{0};
 // (kUnreached for vertices no source reaches), aggregate = vertices
 // reached. An empty source set reaches nothing.
 //
-// opts.num_threads == 1 runs the sequential frontier loop — the exact
-// reference. A larger budget runs the GAP-style direction-optimizing
-// traversal: frontier-parallel top-down steps that hand off to
-// vertex-parallel bottom-up steps (over a lazily built in-edge transpose)
-// when the frontier's out-edge scout count crosses remaining_edges /
-// alpha, and back when the frontier shrinks under num_nodes / beta. Both
-// paths produce identical depths — level sets are deterministic; an
-// AtomicVisitedBitmap fetch_or arbitrates which lane claims a vertex, not
-// which level it lands in.
+// A sequential two-slot frontier loop at any opts.num_threads: the
+// options are accepted for the uniform kernel surface and ignored
+// (docs/PERFORMANCE.md records why no parallel BFS is kept).
 //
 // `parents`, when non-null, receives a valid BFS tree: parents[s] == s for
-// reached sources, otherwise parents[v] is some predecessor of v with
+// reached sources, otherwise parents[v] is a predecessor of v with
 // depth[v] == depth[parent] + 1, and kNoParent for unreached vertices.
-// Which predecessor wins is scheduling-dependent under a parallel budget —
-// the differential suite checks tree validity, not a particular tree.
+// The tests check tree validity, not a particular tree.
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts = {},
                  std::vector<DenseId>* parents = nullptr);

@@ -27,66 +27,58 @@ std::vector<NodeId> SortedUnique(std::vector<NodeId> ids) {
   return ids;
 }
 
-// The snapshot layer's chunked parallel-for over the shared pool;
-// num_threads <= 1 is the inline sequential loop.
-template <typename Fn>
-void SnapParallelFor(const SnapshotOptions& opts, size_t begin, size_t end,
-                     Fn&& body) {
-  const size_t threads = opts.num_threads == 0 ? 1 : opts.num_threads;
-  if (threads > 1) ThreadPool::Shared().EnsureWorkers(threads - 1);
-  ThreadPool::Shared().ParallelFor(begin, end,
-                                   opts.grain == 0 ? 1 : opts.grain,
-                                   threads, std::forward<Fn>(body));
-}
-
 // Runs `extract(u, emit)` over every member of `sources` and returns the
-// emitted edges in sequential emission order — chunks collect locally and
-// are stitched back in range order, so the parallel extraction returns
-// the exact vector the one-lane loop would.
+// emitted edges in `sources` order, whatever the budget: chunks collect
+// locally and are stitched back in range order.
 template <typename ExtractFn>
 std::vector<Edge> ExtractEdgesOrdered(const SnapshotOptions& opts,
                                       const std::vector<NodeId>& sources,
                                       ExtractFn&& extract) {
-  std::vector<Edge> edges;
-  if (opts.num_threads <= 1) {
-    for (const NodeId u : sources) extract(u, edges);
-    return edges;
-  }
   std::mutex mu;
   std::vector<std::pair<size_t, std::vector<Edge>>> chunks;
-  SnapParallelFor(opts, 0, sources.size(), [&](size_t begin, size_t end) {
-    std::vector<Edge> local;
-    for (size_t i = begin; i < end; ++i) extract(sources[i], local);
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(begin, std::move(local));
-  });
+  BudgetedParallelFor(opts.num_threads, opts.grain, 0, sources.size(),
+                      [&](size_t begin, size_t end) {
+                        std::vector<Edge> local;
+                        for (size_t i = begin; i < end; ++i) {
+                          extract(sources[i], local);
+                        }
+                        std::lock_guard<std::mutex> lock(mu);
+                        chunks.emplace_back(begin, std::move(local));
+                      });
+  if (chunks.empty()) return {};
   std::sort(chunks.begin(), chunks.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t total = 0;
-  for (const auto& [begin, local] : chunks) total += local.size();
-  edges.reserve(total);
-  for (auto& [begin, local] : chunks) {
-    edges.insert(edges.end(), local.begin(), local.end());
+  std::vector<Edge> edges = std::move(chunks.front().second);
+  for (size_t c = 1; c < chunks.size(); ++c) {
+    edges.insert(edges.end(), chunks[c].second.begin(),
+                 chunks[c].second.end());
   }
   return edges;
 }
 
-// Pulls per-edge weights, one EdgeWeight probe per edge — disjoint
-// writes, so the parallel fill is the sequential vector.
+// Pulls per-edge weights, one EdgeWeight probe per edge (disjoint
+// writes).
 std::vector<uint64_t> PullWeights(const GraphStore& store,
                                   const std::vector<Edge>& edges,
                                   const SnapshotOptions& opts) {
   std::vector<uint64_t> weights(edges.size());
-  SnapParallelFor(opts, 0, edges.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      weights[i] = store.EdgeWeight(edges[i].u, edges[i].v);
-    }
-  });
+  BudgetedParallelFor(opts.num_threads, opts.grain, 0, edges.size(),
+                      [&](size_t begin, size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          weights[i] = store.EdgeWeight(edges[i].u,
+                                                        edges[i].v);
+                        }
+                      });
   return weights;
 }
 
 }  // namespace
 
+// Atomic degree count -> prefix sum -> scatter -> per-segment sort/dedup
+// -> second prefix sum -> compact, each pass spread over opts.num_threads
+// lanes. Every segment ends up ascending and unique, and duplicate weights
+// sum to the same uint64 in any accumulation order, so the snapshot is
+// byte-identical at any budget.
 CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
                                std::vector<uint64_t> weights,
                                std::vector<NodeId> universe,
@@ -96,48 +88,13 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
   const size_t n = snap.originals_.size();
   snap.offsets_.assign(n + 1, 0);
   const bool weighted = !weights.empty();
+  const auto parallel_for = [&opts](size_t end, auto&& body) {
+    BudgetedParallelFor(opts.num_threads, opts.grain, 0, end, body);
+  };
 
-  if (opts.num_threads <= 1) {
-    // The sequential reference builder: global (u, v) sort, then one
-    // dedup-accumulate pass.
-    std::vector<DenseEdge> dense(edges.size());
-    for (size_t i = 0; i < edges.size(); ++i) {
-      dense[i].u = snap.ToDense(edges[i].u);
-      dense[i].v = snap.ToDense(edges[i].v);
-      dense[i].w = weighted ? weights[i] : 1;
-    }
-    std::sort(dense.begin(), dense.end(),
-              [](const DenseEdge& a, const DenseEdge& b) {
-                return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-
-    snap.neighbors_.reserve(dense.size());
-    if (weighted) snap.weights_.reserve(dense.size());
-    for (size_t i = 0; i < dense.size(); ++i) {
-      if (i > 0 && dense[i].u == dense[i - 1].u &&
-          dense[i].v == dense[i - 1].v) {
-        // Duplicate arrival: accumulate, matching the weighted store.
-        if (weighted) snap.weights_.back() += dense[i].w;
-        continue;
-      }
-      snap.neighbors_.push_back(dense[i].v);
-      if (weighted) snap.weights_.push_back(dense[i].w);
-      ++snap.offsets_[dense[i].u + 1];
-    }
-    for (size_t u = 0; u < n; ++u) {
-      snap.offsets_[u + 1] += snap.offsets_[u];
-    }
-    return snap;
-  }
-
-  // The parallel builder: atomic degree count -> prefix sum -> scatter ->
-  // per-segment sort/dedup -> second prefix sum -> compact. Identical
-  // output to the sequential path: each segment ends up ascending and
-  // unique either way, and duplicate weights sum to the same uint64 in
-  // any accumulation order.
   const size_t m = edges.size();
   std::vector<DenseEdge> dense(m);
-  SnapParallelFor(opts, 0, m, [&](size_t begin, size_t end) {
+  parallel_for(m, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       dense[i].u = snap.ToDense(edges[i].u);
       dense[i].v = snap.ToDense(edges[i].v);
@@ -149,7 +106,7 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
   for (size_t u = 0; u < n; ++u) {
     counts[u].store(0, std::memory_order_relaxed);
   }
-  SnapParallelFor(opts, 0, m, [&](size_t begin, size_t end) {
+  parallel_for(m, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       counts[dense[i].u].fetch_add(1, std::memory_order_relaxed);
     }
@@ -164,7 +121,7 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
     counts[u].store(raw_offsets[u], std::memory_order_relaxed);
   }
   std::vector<std::pair<DenseId, uint64_t>> scratch(m);  // (v, w) per slot
-  SnapParallelFor(opts, 0, m, [&](size_t begin, size_t end) {
+  parallel_for(m, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const size_t slot =
           counts[dense[i].u].fetch_add(1, std::memory_order_relaxed);
@@ -175,7 +132,7 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
   // Sort each vertex's segment by target and count its unique targets;
   // segments are disjoint, so lanes never touch the same slots.
   std::vector<size_t> uniq(n, 0);
-  SnapParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
+  parallel_for(n, [&](size_t begin, size_t end) {
     for (size_t u = begin; u < end; ++u) {
       const auto seg_begin = scratch.begin() +
                              static_cast<ptrdiff_t>(raw_offsets[u]);
@@ -202,7 +159,7 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
 
   snap.neighbors_.resize(snap.offsets_[n]);
   if (weighted) snap.weights_.resize(snap.offsets_[n]);
-  SnapParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
+  parallel_for(n, [&](size_t begin, size_t end) {
     for (size_t u = begin; u < end; ++u) {
       size_t out = snap.offsets_[u];
       for (size_t i = raw_offsets[u]; i < raw_offsets[u + 1]; ++i) {
@@ -226,8 +183,8 @@ CsrSnapshot CsrSnapshot::FromStore(const GraphStore& store,
   // across the whole store, so no writer may run concurrently — not even
   // on a store whose Capabilities() advertise concurrent_mutations. The
   // edge-count recheck below catches a mutating store after the fact.
-  // (The parallel path leans on the same contract: concurrent const reads
-  // of a quiesced store race nothing.)
+  // (Multi-lane extraction leans on the same contract: concurrent const
+  // reads of a quiesced store race nothing.)
   const size_t edges_at_start = store.NumEdges();
 
   // Drain the node cursor fully before opening neighbor cursors, and pull

@@ -32,15 +32,15 @@ struct SnapshotOptions {
   // !Capabilities().weighted is the bench's methodological call (fig11
   // skips, per Section V-E2).
   bool with_weights = false;
-  // Lanes the build may use (the calling thread counts as one). 1 — the
-  // default — is the exact sequential builder. A larger budget extracts
-  // per-source adjacency and weights in parallel (safe on a quiesced
-  // store: concurrent const reads race nothing once writers stop) and
-  // constructs the CSR by parallel degree-count / prefix-sum / scatter /
-  // per-segment sort. The result is byte-identical to the sequential
-  // build — segment order is canonical and duplicate-weight accumulation
-  // is an order-independent integer sum — which
-  // tests/parallel_kernels_test.cc proves per scheme.
+  // Lanes the build may use (the calling thread counts as one; 0 counts
+  // as 1). One builder serves every budget: it extracts per-source
+  // adjacency and weights (safe on a quiesced store: concurrent const
+  // reads race nothing once writers stop) and constructs the CSR by
+  // degree-count / prefix-sum / scatter / per-segment sort, each pass
+  // spread over the lanes. The result is byte-identical at any budget —
+  // segment order is canonical and duplicate-weight accumulation is an
+  // order-independent integer sum — which tests/parallel_kernels_test.cc
+  // checks per scheme against a naive model.
   size_t num_threads = 1;
   // Minimum items per parallel-for chunk (sources during extraction,
   // edges/vertices during construction).
@@ -87,8 +87,8 @@ class CsrSnapshot {
   // weights) duplicates accumulate, matching weighted-store arrivals.
   // Throws std::invalid_argument when `weights` is non-empty but not the
   // same length as `edges`. opts.with_weights is ignored (the explicit
-  // `weights` span decides); opts.num_threads selects the parallel
-  // builder, same byte-identical contract as FromStore.
+  // `weights` span decides); opts.num_threads is the lane budget, same
+  // byte-identical contract as FromStore.
   static CsrSnapshot FromEdges(Span<const Edge> edges,
                                Span<const uint64_t> weights = {},
                                SnapshotOptions opts = {});

@@ -1,17 +1,11 @@
 // Traversal scratch shared by the kernels: a word-packed visited bitmap
-// (plain and atomic flavors) and a two-slot frontier. All are sized to
-// the snapshot's dense vertex space, so kernel state is flat arrays — no
-// hashing on the hot path. The atomic bitmap is the parallel kernels'
-// visit arbiter: fetch_or decides exactly one winner per vertex, which is
-// what makes the direction-optimizing BFS's depths deterministic even
-// though lane scheduling is not.
+// and a two-slot frontier. Both are sized to the snapshot's dense vertex
+// space, so kernel state is flat arrays — no hashing on the hot path.
 #ifndef CUCKOOGRAPH_ANALYTICS_FRONTIER_H_
 #define CUCKOOGRAPH_ANALYTICS_FRONTIER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analytics/csr_snapshot.h"
@@ -42,46 +36,6 @@ class VisitedBitmap {
 
  private:
   std::vector<uint64_t> words_;
-};
-
-// The multi-threaded VisitedBitmap: TestAndSet arbitrates concurrent
-// visits with one fetch_or, Set/Test are relaxed (the parallel kernels
-// publish cross-step state through the ParallelFor barrier, not through
-// individual bits).
-class AtomicVisitedBitmap {
- public:
-  explicit AtomicVisitedBitmap(size_t bits)
-      : num_words_((bits + 63) / 64),
-        words_(std::make_unique<std::atomic<uint64_t>[]>(num_words_)) {
-    Clear();
-  }
-
-  bool Test(DenseId i) const {
-    return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
-  }
-
-  void Set(DenseId i) {
-    words_[i >> 6].fetch_or(uint64_t{1} << (i & 63),
-                            std::memory_order_relaxed);
-  }
-
-  // Sets bit `i`; returns true iff it was previously clear (this caller
-  // won the visit — exactly one concurrent TestAndSet per bit wins).
-  bool TestAndSet(DenseId i) {
-    const uint64_t mask = uint64_t{1} << (i & 63);
-    return (words_[i >> 6].fetch_or(mask, std::memory_order_relaxed) &
-            mask) == 0;
-  }
-
-  void Clear() {
-    for (size_t w = 0; w < num_words_; ++w) {
-      words_[w].store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  size_t num_words_;
-  std::unique_ptr<std::atomic<uint64_t>[]> words_;
 };
 
 // Current/next vertex queues with O(1) generation swap.

@@ -10,27 +10,26 @@
 // ignored, and kernels that sweep the whole snapshot (CC, PageRank) accept
 // an empty span.
 //
-// KernelOptions carries the thread budget. num_threads = 1 (the default)
-// runs the exact sequential reference implementation — bit-for-bit the
-// pre-parallel behavior. num_threads > 1 engages the parallel variants
-// where one exists (direction-optimizing BFS, frontier-parallel
-// delta-stepping SSSP, vertex-parallel PageRank/TC/LCC); CC (Tarjan) and
-// BC (Brandes) are deterministic sequential algorithms whose label/score
-// contract depends on visit order, so they accept the options for API
-// uniformity and run sequentially at any budget. The differential suite
-// (tests/parallel_kernels_test.cc) proves every parallel variant
-// result-compatible with its sequential reference.
+// Every kernel has exactly one implementation; KernelOptions is a lane
+// budget, never an algorithm switch. Frontier-parallel delta-stepping
+// SSSP and the vertex-parallel TC/LCC spread their work over
+// opts.num_threads lanes (budget 1 runs the same code inline). BFS and
+// PageRank are sequential because that measured fastest (see
+// docs/PERFORMANCE.md); CC (Tarjan) and BC (Brandes) because their
+// label/score contracts depend on visit order. These four accept the
+// options for API uniformity and ignore them. No result depends on the
+// budget; tests/parallel_kernels_test.cc checks every kernel against the
+// naive models in tests/analytics_reference.h at budgets
+// {1, 2, 4, hardware}.
 #ifndef CUCKOOGRAPH_ANALYTICS_KERNEL_H_
 #define CUCKOOGRAPH_ANALYTICS_KERNEL_H_
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "analytics/csr_snapshot.h"
 #include "common/span.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace cuckoograph::analytics {
@@ -51,33 +50,16 @@ struct KernelResult {
   uint64_t aggregate = 0;
 };
 
-// Per-call execution options, shared by every kernel and by the parallel
-// snapshot builder's kernel-side callers.
+// Per-call execution options, shared by every kernel.
 struct KernelOptions {
   // Lanes a kernel may use; the calling thread counts as one, so
-  // num_threads - 1 shared-pool workers join it. 1 (default) takes the
-  // exact sequential reference path; 0 is treated as 1.
+  // num_threads - 1 shared-pool workers join it (BudgetedParallelFor in
+  // common/thread_pool.h). 0 is treated as 1.
   size_t num_threads = 1;
   // Minimum vertices/frontier entries per parallel-for chunk — raises the
   // amortization floor on tiny inputs so lane handoff never dominates.
   size_t grain = 256;
-  // Bucket width of the parallel delta-stepping SSSP (see sssp.h). Any
-  // width produces the same distances; it only tunes work per phase.
-  uint64_t delta = 8;
 };
-
-// Runs body(chunk_begin, chunk_end) over [begin, end) with the options'
-// thread budget on the process-shared pool (growing it if needed).
-// num_threads <= 1 degenerates to one inline call — the sequential loop.
-template <typename Fn>
-void KernelParallelFor(const KernelOptions& opts, size_t begin, size_t end,
-                       Fn&& body) {
-  const size_t threads = opts.num_threads == 0 ? 1 : opts.num_threads;
-  if (threads > 1) ThreadPool::Shared().EnsureWorkers(threads - 1);
-  ThreadPool::Shared().ParallelFor(begin, end,
-                                   opts.grain == 0 ? 1 : opts.grain,
-                                   threads, std::forward<Fn>(body));
-}
 
 // The uniform entry-point shape, for registries and bench tables. (BFS
 // additionally takes an optional parent-tree out-param; registries bind

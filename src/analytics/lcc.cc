@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/thread_pool.h"
+
 namespace cuckoograph::analytics::lcc {
 
 namespace {
@@ -28,24 +30,24 @@ KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
   result.per_node.assign(graph.num_nodes(), 0.0);
   if (sources.empty()) {
     // Vertex-parallel sweep; per_node writes are disjoint by construction.
-    KernelParallelFor(opts, 0, graph.num_nodes(),
-                      [&](size_t begin, size_t end) {
-                        for (size_t u = begin; u < end; ++u) {
-                          result.per_node[u] =
-                              CoefficientOf(graph, static_cast<DenseId>(u));
-                        }
-                      });
+    BudgetedParallelFor(opts.num_threads, opts.grain, 0, graph.num_nodes(),
+                        [&](size_t begin, size_t end) {
+                          for (size_t u = begin; u < end; ++u) {
+                            result.per_node[u] =
+                                CoefficientOf(graph, static_cast<DenseId>(u));
+                          }
+                        });
     result.aggregate = graph.num_nodes();
     return result;
   }
   const std::vector<DenseId> resolved = ResolveSources(graph, sources);
-  KernelParallelFor(opts, 0, resolved.size(),
-                    [&](size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        result.per_node[resolved[i]] =
-                            CoefficientOf(graph, resolved[i]);
-                      }
-                    });
+  BudgetedParallelFor(opts.num_threads, opts.grain, 0, resolved.size(),
+                      [&](size_t begin, size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          result.per_node[resolved[i]] =
+                              CoefficientOf(graph, resolved[i]);
+                        }
+                      });
   result.aggregate = resolved.size();
   return result;
 }

@@ -11,9 +11,9 @@ namespace cuckoograph::analytics::lcc {
 // `sources` (others stay 0), or every vertex when `sources` is empty.
 // aggregate = vertices scored.
 //
-// A multi-thread budget scores vertices in parallel — each lane writes its
-// own per_node slots and every coefficient is computed by one lane, so the
-// scores are bit-identical to the sequential reference.
+// Vertices are scored in parallel over opts.num_threads lanes — each lane
+// writes its own per_node slots and every coefficient is computed by one
+// lane, so the scores are bit-identical at any budget.
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts = {});
 

@@ -1,24 +1,11 @@
 #include "analytics/pagerank.h"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 namespace cuckoograph::analytics::pagerank {
 
-namespace {
-
-// CAS-accumulated double add — the scatter's per-target combiner.
-void AtomicAdd(std::atomic<double>& target, double delta) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-KernelResult RunSequential(const CsrSnapshot& graph, size_t iterations,
+KernelResult RunIterations(const CsrSnapshot& graph, size_t iterations,
                            double damping) {
   const size_t n = graph.num_nodes();
   KernelResult result;
@@ -47,71 +34,11 @@ KernelResult RunSequential(const CsrSnapshot& graph, size_t iterations,
   return result;
 }
 
-KernelResult RunParallel(const CsrSnapshot& graph, size_t iterations,
-                         double damping, const KernelOptions& opts) {
-  const size_t n = graph.num_nodes();
-  KernelResult result;
-  if (n == 0) return result;
-
-  std::vector<double> rank(n, 1.0 / static_cast<double>(n));
-  auto next = std::make_unique<std::atomic<double>[]>(n);
-  for (size_t iter = 0; iter < iterations; ++iter) {
-    // Dangling mass: per-chunk partial sums folded under a mutex (a
-    // deterministic-enough reduction; the tolerance covers association).
-    double dangling = 0.0;
-    std::mutex dangling_mu;
-    KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-      double local = 0.0;
-      for (size_t u = begin; u < end; ++u) {
-        if (graph.Degree(static_cast<DenseId>(u)) == 0) local += rank[u];
-      }
-      std::lock_guard<std::mutex> lock(dangling_mu);
-      dangling += local;
-    });
-    const double base =
-        (1.0 - damping + damping * dangling) / static_cast<double>(n);
-    KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-      for (size_t v = begin; v < end; ++v) {
-        next[v].store(base, std::memory_order_relaxed);
-      }
-    });
-    KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        const DenseId du = static_cast<DenseId>(u);
-        const size_t degree = graph.Degree(du);
-        if (degree == 0) continue;
-        const double share =
-            damping * rank[u] / static_cast<double>(degree);
-        for (const DenseId v : graph.Neighbors(du)) {
-          AtomicAdd(next[v], share);
-        }
-      }
-    });
-    KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-      for (size_t v = begin; v < end; ++v) {
-        rank[v] = next[v].load(std::memory_order_relaxed);
-      }
-    });
-    ++result.aggregate;
-  }
-  result.per_node = std::move(rank);
-  return result;
-}
-
-}  // namespace
-
-KernelResult RunIterations(const CsrSnapshot& graph, size_t iterations,
-                           double damping, const KernelOptions& opts) {
-  if (opts.num_threads <= 1) {
-    return RunSequential(graph, iterations, damping);
-  }
-  return RunParallel(graph, iterations, damping, opts);
-}
-
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts) {
   (void)sources;
-  return RunIterations(graph, 100, 0.85, opts);
+  (void)opts;  // sequential at any budget — see the header contract
+  return RunIterations(graph, 100, 0.85);
 }
 
 }  // namespace cuckoograph::analytics::pagerank

@@ -10,18 +10,14 @@ namespace cuckoograph::analytics::pagerank {
 
 // Power iteration with uniform teleport and dangling mass redistributed
 // uniformly. per_node = score (sums to 1), aggregate = iterations run.
-//
-// A multi-thread budget runs the vertex-parallel scatter: lanes push rank
-// shares through CAS-accumulated atomic doubles. The arithmetic is the
-// sequential kernel's — only the order floating-point sums associate in
-// changes, so scores agree with the 1-thread reference to ~1e-12 per node
-// per 100 iterations (the differential suite allows 1e-9).
+// Sequential (docs/PERFORMANCE.md records why no parallel PageRank is
+// kept).
 KernelResult RunIterations(const CsrSnapshot& graph, size_t iterations,
-                           double damping = 0.85,
-                           const KernelOptions& opts = {});
+                           double damping = 0.85);
 
 // The figure's configuration: 100 iterations, damping 0.85. `sources` is
-// ignored — PageRank scores the whole snapshot.
+// ignored — PageRank scores the whole snapshot — and so are the options:
+// the kernel runs sequentially at any budget.
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts = {});
 

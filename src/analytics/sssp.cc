@@ -3,9 +3,10 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <utility>
 #include <vector>
+
+#include "common/thread_pool.h"
 
 namespace cuckoograph::analytics::sssp {
 
@@ -13,98 +14,25 @@ namespace {
 
 constexpr uint64_t kInfinite = ~uint64_t{0};
 
+// Bucket width in weight units. Any width settles the same distances; it
+// only trades work per phase against phase count.
+constexpr uint64_t kDelta = 8;
+
 uint64_t WeightOf(const CsrSnapshot& graph, DenseId u, size_t slot) {
   return graph.has_weights() ? graph.Weights(u)[slot] : 1;
 }
 
-KernelResult ToResult(const CsrSnapshot& graph,
-                      const std::vector<uint64_t>& dist) {
-  KernelResult result;
-  result.per_node.assign(graph.num_nodes(), kUnreached);
-  for (DenseId v = 0; v < graph.num_nodes(); ++v) {
-    if (dist[v] == kInfinite) continue;
-    result.per_node[v] = static_cast<double>(dist[v]);
-    ++result.aggregate;
-  }
-  return result;
-}
+}  // namespace
 
-KernelResult RunDijkstra(const CsrSnapshot& graph,
-                         Span<const NodeId> sources) {
-  std::vector<uint64_t> dist(graph.num_nodes(), kInfinite);
-  using HeapEntry = std::pair<uint64_t, DenseId>;  // (distance, vertex)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
-  for (const DenseId s : ResolveSources(graph, sources)) {
-    dist[s] = 0;
-    heap.emplace(0, s);
-  }
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d != dist[u]) continue;  // stale entry
-    const Span<const DenseId> neighbors = graph.Neighbors(u);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      const DenseId v = neighbors[i];
-      const uint64_t candidate = d + WeightOf(graph, u, i);
-      if (candidate < dist[v]) {
-        dist[v] = candidate;
-        heap.emplace(candidate, v);
-      }
-    }
-  }
-  return ToResult(graph, dist);
-}
-
-KernelResult RunDeltaSequential(const CsrSnapshot& graph,
-                                Span<const NodeId> sources, uint64_t delta) {
-  std::vector<uint64_t> dist(graph.num_nodes(), kInfinite);
-  std::vector<std::vector<DenseId>> buckets;
-  const auto push = [&buckets, delta](DenseId v, uint64_t d) {
-    const size_t idx = static_cast<size_t>(d / delta);
-    if (idx >= buckets.size()) buckets.resize(idx + 1);
-    buckets[idx].push_back(v);
-  };
-
-  for (const DenseId s : ResolveSources(graph, sources)) {
-    dist[s] = 0;
-    push(s, 0);
-  }
-
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    // Relaxations may refill bucket i while it is being drained.
-    while (!buckets[i].empty()) {
-      std::vector<DenseId> batch;
-      batch.swap(buckets[i]);
-      for (const DenseId u : batch) {
-        const uint64_t d = dist[u];
-        if (d / delta != i) continue;  // settled into an earlier bucket
-        const Span<const DenseId> neighbors = graph.Neighbors(u);
-        for (size_t slot = 0; slot < neighbors.size(); ++slot) {
-          const DenseId v = neighbors[slot];
-          const uint64_t candidate = d + WeightOf(graph, u, slot);
-          if (candidate < dist[v]) {
-            dist[v] = candidate;
-            push(v, candidate);
-          }
-        }
-      }
-    }
-  }
-  return ToResult(graph, dist);
-}
-
-// Frontier-parallel delta-stepping. Each bucket batch is relaxed by the
-// kernel lanes: a CAS-min loop settles dist[v] (relaxed order — the
-// ParallelFor barrier publishes cross-batch, and the CAS itself arbitrates
-// within a batch), and the winning lane queues v for its new bucket. A
-// lane may read a tentative dist[u] that another lane is lowering in the
-// same batch; the lowered value re-queues u, so the label-correcting fixed
-// point — the unique shortest-distance vector — is unchanged.
-KernelResult RunDeltaParallel(const CsrSnapshot& graph,
-                              Span<const NodeId> sources, uint64_t delta,
-                              const KernelOptions& opts) {
+// Each bucket batch is relaxed by the kernel lanes: a CAS-min loop settles
+// dist[v] (relaxed order — the ParallelFor barrier publishes cross-batch,
+// and the CAS itself arbitrates within a batch), and the winning lane
+// queues v for its new bucket. A lane may read a tentative dist[u] that
+// another lane is lowering in the same batch; the lowered value re-queues
+// u, so the label-correcting fixed point — the unique shortest-distance
+// vector — is unchanged.
+KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
+                 const KernelOptions& opts) {
   const size_t n = graph.num_nodes();
   auto dist = std::make_unique<std::atomic<uint64_t>[]>(n);
   for (size_t v = 0; v < n; ++v) {
@@ -113,8 +41,8 @@ KernelResult RunDeltaParallel(const CsrSnapshot& graph,
 
   std::vector<std::vector<DenseId>> buckets;
   std::mutex buckets_mu;
-  const auto push_locked = [&buckets, delta](DenseId v, uint64_t d) {
-    const size_t idx = static_cast<size_t>(d / delta);
+  const auto push_locked = [&buckets](DenseId v, uint64_t d) {
+    const size_t idx = static_cast<size_t>(d / kDelta);
     if (idx >= buckets.size()) buckets.resize(idx + 1);
     buckets[idx].push_back(v);
   };
@@ -126,37 +54,39 @@ KernelResult RunDeltaParallel(const CsrSnapshot& graph,
 
   std::vector<DenseId> batch;
   for (size_t i = 0; i < buckets.size(); ++i) {
+    // Relaxations may refill bucket i while it is being drained.
     while (!buckets[i].empty()) {
       batch.clear();
       batch.swap(buckets[i]);
-      KernelParallelFor(opts, 0, batch.size(), [&](size_t begin,
-                                                   size_t end) {
-        // (vertex, settled distance) pairs this chunk won, merged into
-        // the shared buckets once per chunk.
-        std::vector<std::pair<DenseId, uint64_t>> won;
-        for (size_t b = begin; b < end; ++b) {
-          const DenseId u = batch[b];
-          const uint64_t d = dist[u].load(std::memory_order_relaxed);
-          if (d == kInfinite || d / delta != i) continue;
-          const Span<const DenseId> neighbors = graph.Neighbors(u);
-          for (size_t slot = 0; slot < neighbors.size(); ++slot) {
-            const DenseId v = neighbors[slot];
-            const uint64_t candidate = d + WeightOf(graph, u, slot);
-            uint64_t current = dist[v].load(std::memory_order_relaxed);
-            while (candidate < current) {
-              if (dist[v].compare_exchange_weak(
-                      current, candidate, std::memory_order_relaxed)) {
-                won.emplace_back(v, candidate);
-                break;
+      BudgetedParallelFor(
+          opts.num_threads, opts.grain, 0, batch.size(),
+          [&](size_t begin, size_t end) {
+            // (vertex, settled distance) pairs this chunk won, merged into
+            // the shared buckets once per chunk.
+            std::vector<std::pair<DenseId, uint64_t>> won;
+            for (size_t b = begin; b < end; ++b) {
+              const DenseId u = batch[b];
+              const uint64_t d = dist[u].load(std::memory_order_relaxed);
+              if (d / kDelta != i) continue;  // settled in an earlier bucket
+              const Span<const DenseId> neighbors = graph.Neighbors(u);
+              for (size_t slot = 0; slot < neighbors.size(); ++slot) {
+                const DenseId v = neighbors[slot];
+                const uint64_t candidate = d + WeightOf(graph, u, slot);
+                uint64_t current = dist[v].load(std::memory_order_relaxed);
+                while (candidate < current) {
+                  if (dist[v].compare_exchange_weak(
+                          current, candidate, std::memory_order_relaxed)) {
+                    won.emplace_back(v, candidate);
+                    break;
+                  }
+                }
               }
             }
-          }
-        }
-        if (!won.empty()) {
-          std::lock_guard<std::mutex> lock(buckets_mu);
-          for (const auto& [v, d] : won) push_locked(v, d);
-        }
-      });
+            if (!won.empty()) {
+              std::lock_guard<std::mutex> lock(buckets_mu);
+              for (const auto& [v, d] : won) push_locked(v, d);
+            }
+          });
     }
   }
 
@@ -169,25 +99,6 @@ KernelResult RunDeltaParallel(const CsrSnapshot& graph,
     ++result.aggregate;
   }
   return result;
-}
-
-}  // namespace
-
-KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
-                 const KernelOptions& opts) {
-  if (opts.num_threads <= 1) return RunDijkstra(graph, sources);
-  return RunDeltaParallel(graph, sources, opts.delta == 0 ? 1 : opts.delta,
-                          opts);
-}
-
-KernelResult RunDeltaStepping(const CsrSnapshot& graph,
-                              Span<const NodeId> sources, uint64_t delta,
-                              const KernelOptions& opts) {
-  if (delta == 0) delta = 1;
-  if (opts.num_threads <= 1) {
-    return RunDeltaSequential(graph, sources, delta);
-  }
-  return RunDeltaParallel(graph, sources, delta, opts);
 }
 
 }  // namespace cuckoograph::analytics::sssp

@@ -4,8 +4,6 @@
 #ifndef CUCKOOGRAPH_ANALYTICS_SSSP_H_
 #define CUCKOOGRAPH_ANALYTICS_SSSP_H_
 
-#include <cstdint>
-
 #include "analytics/kernel.h"
 
 namespace cuckoograph::analytics::sssp {
@@ -14,22 +12,14 @@ namespace cuckoograph::analytics::sssp {
 // nearest source (kUnreached when unreachable), aggregate = vertices
 // reached.
 //
-// opts.num_threads == 1 runs Dijkstra (binary heap, lazy deletion) — the
-// exact reference. A larger budget runs frontier-parallel delta-stepping
-// with bucket width opts.delta: each bucket batch relaxes in parallel,
-// racing lanes settle each tentative distance with a CAS-min, and the
-// fixed point is the unique shortest-distance vector — so distances match
-// Dijkstra exactly, whatever the lane schedule or delta.
+// Frontier-parallel delta-stepping with a fixed bucket width of 8 over
+// opts.num_threads lanes (budget 1 runs the same code inline): each
+// bucket batch relaxes in parallel, racing lanes settle each tentative
+// distance with a CAS-min, and the fixed point is the unique
+// shortest-distance vector — so distances are exact whatever the lane
+// schedule.
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts = {});
-
-// Delta-stepping entry point with an explicit bucket width (the bench
-// compares widths on skewed streams). Sequential label-correcting under a
-// 1-thread budget, the parallel batch relaxation above otherwise; both
-// produce Run's distances.
-KernelResult RunDeltaStepping(const CsrSnapshot& graph,
-                              Span<const NodeId> sources, uint64_t delta = 1,
-                              const KernelOptions& opts = {});
 
 }  // namespace cuckoograph::analytics::sssp
 

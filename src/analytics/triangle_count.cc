@@ -3,6 +3,8 @@
 #include <atomic>
 #include <vector>
 
+#include "common/thread_pool.h"
+
 namespace cuckoograph::analytics::triangle_count {
 
 namespace {
@@ -39,17 +41,16 @@ KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
     total.fetch_add(local, std::memory_order_relaxed);
   };
   if (sources.empty()) {
-    KernelParallelFor(opts, 0, graph.num_nodes(),
-                      [&](size_t begin, size_t end) {
-                        count_range({}, begin, end);
-                      });
+    BudgetedParallelFor(
+        opts.num_threads, opts.grain, 0, graph.num_nodes(),
+        [&](size_t begin, size_t end) { count_range({}, begin, end); });
   } else {
     const std::vector<DenseId> resolved = ResolveSources(graph, sources);
-    KernelParallelFor(opts, 0, resolved.size(),
-                      [&](size_t begin, size_t end) {
-                        count_range(Span<const DenseId>(resolved), begin,
-                                    end);
-                      });
+    BudgetedParallelFor(opts.num_threads, opts.grain, 0, resolved.size(),
+                        [&](size_t begin, size_t end) {
+                          count_range(Span<const DenseId>(resolved), begin,
+                                      end);
+                        });
   }
   result.aggregate = total.load();
   return result;

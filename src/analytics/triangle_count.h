@@ -13,9 +13,9 @@ namespace cuckoograph::analytics::triangle_count {
 // empty — each 3-cycle then counts once per member. aggregate = the sum
 // over the swept sources.
 //
-// A multi-thread budget anchors sources across lanes. Per-source counts
+// Sources are anchored across opts.num_threads lanes. Per-source counts
 // are integers written disjointly and the aggregate is their exact sum,
-// so the result is bit-identical to the sequential reference.
+// so the result is bit-identical at any budget.
 KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
                  const KernelOptions& opts = {});
 

@@ -1,6 +1,6 @@
 // A small fixed-worker thread pool with a grain-controlled parallel-for:
-// the parallel substrate of the analytics engine (parallel CsrSnapshot
-// builds, the direction-optimizing BFS, the frontier-parallel kernels).
+// the parallel substrate of the analytics engine (the CsrSnapshot builder
+// and the frontier/vertex-parallel kernels).
 // Deliberately work-stealing-free: ParallelFor hands out contiguous index
 // chunks from one shared atomic cursor, so lanes never touch each other's
 // queues and the scheduling cost per chunk is one fetch_add.
@@ -18,8 +18,8 @@
 //    nothing submitted before destruction is dropped.
 //
 // The process-wide Shared() pool exists so repeated kernel calls reuse
-// warm threads instead of paying thread spawn per call (the KernelOptions
-// path in src/analytics/ routes through it); it grows its worker set on
+// warm threads instead of paying thread spawn per call (src/analytics/
+// routes through it via BudgetedParallelFor); it grows its worker set on
 // demand and never shrinks.
 #ifndef CUCKOOGRAPH_COMMON_THREAD_POOL_H_
 #define CUCKOOGRAPH_COMMON_THREAD_POOL_H_
@@ -31,6 +31,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace cuckoograph {
@@ -100,6 +101,18 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 };
+
+// ParallelFor over [begin, end) on the Shared() pool with a budget of
+// `num_threads` lanes (0 counts as 1), first growing the pool so the
+// budget can be met. A budget of 1 is one inline call. The one budgeted
+// entry point the analytics snapshot builder and kernels share.
+template <typename Fn>
+void BudgetedParallelFor(size_t num_threads, size_t grain, size_t begin,
+                         size_t end, Fn&& body) {
+  if (num_threads > 1) ThreadPool::Shared().EnsureWorkers(num_threads - 1);
+  ThreadPool::Shared().ParallelFor(begin, end, grain, num_threads,
+                                   std::forward<Fn>(body));
+}
 
 }  // namespace cuckoograph
 

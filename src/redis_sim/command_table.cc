@@ -1,6 +1,7 @@
 #include "redis_sim/command_table.h"
 
 #include <cctype>
+#include <exception>
 #include <utility>
 
 namespace cuckoograph::redis_sim {
@@ -55,7 +56,16 @@ RespValue CommandTable::Dispatch(Span<const std::string_view> argv) const {
                             ToLower(argv[0]) + "' command");
   }
   dispatched_.fetch_add(1, std::memory_order_relaxed);
-  RespValue reply = entry.handler(argv);
+  // A throwing handler (e.g. a DurableStore whose WAL has failed) fails
+  // its own command, not the connection or the worker thread serving it.
+  RespValue reply;
+  try {
+    reply = entry.handler(argv);
+  } catch (const std::exception& e) {
+    reply = RespValue::Error(std::string("ERR ") + e.what());
+  } catch (...) {
+    reply = RespValue::Error("ERR command handler failed");
+  }
   if (reply.IsError()) {
     dispatch_errors_.fetch_add(1, std::memory_order_relaxed);
   }

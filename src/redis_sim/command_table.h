@@ -54,7 +54,9 @@ class CommandTable {
 
   // Dispatches one parsed request (argv must be non-empty) and returns
   // its reply value: unknown-command and wrong-arity requests produce
-  // error replies without reaching a handler.
+  // error replies without reaching a handler, and an exception escaping
+  // a handler becomes an "ERR <what()>" reply. All three count in
+  // dispatch_errors().
   RespValue Dispatch(Span<const std::string_view> argv) const;
 
   // Registered command names (uppercased), in registration order.
@@ -64,7 +66,7 @@ class CommandTable {
   uint64_t commands_dispatched() const {  // handler invocations
     return dispatched_.load(std::memory_order_relaxed);
   }
-  uint64_t dispatch_errors() const {  // unknown/arity/handler error replies
+  uint64_t dispatch_errors() const {  // unknown/arity/handler/throw errors
     return dispatch_errors_.load(std::memory_order_relaxed);
   }
 

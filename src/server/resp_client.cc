@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,6 +17,25 @@ namespace cuckoograph::server {
 namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
+
+// Finishes a blocking connect() that a signal interrupted. The handshake
+// keeps going in the kernel after EINTR, and calling connect() again
+// would fail with EALREADY, so wait for writability and read the
+// outcome from SO_ERROR. Returns 0 or the connect's errno.
+int AwaitInterruptedConnect(int fd) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLOUT;
+  while (::poll(&pfd, 1, -1) < 0) {
+    if (errno != EINTR) return errno;
+  }
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0) {
+    return errno;
+  }
+  return so_error;
+}
 
 }  // namespace
 
@@ -60,7 +80,8 @@ bool RespClient::Connect(const std::string& host, uint16_t port,
     return fail("invalid address '" + host + "'");
   }
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    return fail(std::string("connect: ") + ErrnoString(errno));
+    const int err = errno == EINTR ? AwaitInterruptedConnect(fd_) : errno;
+    if (err != 0) return fail(std::string("connect: ") + ErrnoString(err));
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

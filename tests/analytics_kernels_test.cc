@@ -3,12 +3,9 @@
 // star, clique, two components, diamond), parameterized over every factory
 // scheme — every store feeds the kernels through the same CsrSnapshot
 // layer, so agreement here certifies store, snapshot, and kernel together.
+// The models live in analytics_reference.h.
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <memory>
-#include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +18,7 @@
 #include "analytics/pagerank.h"
 #include "analytics/sssp.h"
 #include "analytics/triangle_count.h"
+#include "analytics_reference.h"
 #include "baselines/store_factory.h"
 #include "common/types.h"
 #include "gtest/gtest.h"
@@ -32,208 +30,15 @@ using analytics::CsrSnapshot;
 using analytics::DenseId;
 using analytics::KernelResult;
 using analytics::kUnreached;
-
-// ---- Naive reference model ------------------------------------------------
-
-struct RefGraph {
-  std::vector<NodeId> nodes;                 // sorted unique endpoints
-  std::map<NodeId, std::vector<NodeId>> adj; // distinct successors, sorted
-  std::set<uint64_t> edges;                  // EdgeKey set
-  std::map<uint64_t, uint64_t> weight;       // EdgeKey -> expected weight
-};
-
-RefGraph BuildRef(const std::vector<Edge>& stream, bool weighted) {
-  RefGraph ref;
-  for (const Edge& e : stream) {
-    ref.nodes.push_back(e.u);
-    ref.nodes.push_back(e.v);
-    if (ref.edges.insert(EdgeKey(e)).second) {
-      ref.adj[e.u].push_back(e.v);
-      ref.weight[EdgeKey(e)] = 1;
-    } else if (weighted) {
-      ++ref.weight[EdgeKey(e)];  // duplicate arrival accumulates
-    }
-  }
-  std::sort(ref.nodes.begin(), ref.nodes.end());
-  ref.nodes.erase(std::unique(ref.nodes.begin(), ref.nodes.end()),
-                  ref.nodes.end());
-  for (auto& [u, vs] : ref.adj) std::sort(vs.begin(), vs.end());
-  return ref;
-}
-
-std::vector<NodeId> SuccessorsOf(const RefGraph& ref, NodeId u) {
-  const auto it = ref.adj.find(u);
-  return it == ref.adj.end() ? std::vector<NodeId>() : it->second;
-}
-
-std::map<NodeId, double> NaiveBfs(const RefGraph& ref,
-                                  const std::vector<NodeId>& sources) {
-  std::map<NodeId, double> dist;
-  for (const NodeId n : ref.nodes) dist[n] = kUnreached;
-  std::queue<NodeId> queue;
-  for (const NodeId s : sources) {
-    if (dist.count(s) == 0 || dist[s] == 0.0) continue;
-    dist[s] = 0.0;
-    queue.push(s);
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop();
-    for (const NodeId v : SuccessorsOf(ref, u)) {
-      if (dist[v] != kUnreached) continue;
-      dist[v] = dist[u] + 1.0;
-      queue.push(v);
-    }
-  }
-  return dist;
-}
-
-std::map<NodeId, double> NaiveSssp(const RefGraph& ref,
-                                   const std::vector<NodeId>& sources) {
-  std::map<NodeId, double> dist;
-  for (const NodeId n : ref.nodes) dist[n] = kUnreached;
-  for (const NodeId s : sources) {
-    if (dist.count(s) != 0) dist[s] = 0.0;
-  }
-  // O(V^2) Dijkstra: repeatedly settle the nearest unsettled vertex.
-  std::set<NodeId> settled;
-  while (true) {
-    NodeId best = 0;
-    double best_dist = kUnreached;
-    for (const auto& [n, d] : dist) {
-      if (settled.count(n) == 0 && d < best_dist) {
-        best = n;
-        best_dist = d;
-      }
-    }
-    if (best_dist == kUnreached) break;
-    settled.insert(best);
-    for (const NodeId v : SuccessorsOf(ref, best)) {
-      const double w =
-          static_cast<double>(ref.weight.at(EdgeKey(Edge{best, v})));
-      dist[v] = std::min(dist[v], best_dist + w);
-    }
-  }
-  return dist;
-}
-
-uint64_t NaiveTriangles(const RefGraph& ref, NodeId s) {
-  uint64_t count = 0;
-  for (const NodeId v : SuccessorsOf(ref, s)) {
-    if (v == s) continue;
-    for (const NodeId w : SuccessorsOf(ref, v)) {
-      if (w == s || w == v) continue;
-      if (ref.edges.count(EdgeKey(Edge{w, s})) != 0) ++count;
-    }
-  }
-  return count;
-}
-
-// Mutual-reachability partition via per-node DFS closures.
-std::map<NodeId, std::set<NodeId>> NaiveReachability(const RefGraph& ref) {
-  std::map<NodeId, std::set<NodeId>> reach;
-  for (const NodeId s : ref.nodes) {
-    std::set<NodeId>& seen = reach[s];
-    std::vector<NodeId> stack{s};
-    seen.insert(s);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (const NodeId v : SuccessorsOf(ref, u)) {
-        if (seen.insert(v).second) stack.push_back(v);
-      }
-    }
-  }
-  return reach;
-}
-
-std::map<NodeId, double> NaivePageRank(const RefGraph& ref, size_t iters,
-                                       double d) {
-  const size_t n = ref.nodes.size();
-  std::map<NodeId, double> rank;
-  for (const NodeId v : ref.nodes) rank[v] = 1.0 / static_cast<double>(n);
-  for (size_t it = 0; it < iters; ++it) {
-    double dangling = 0.0;
-    for (const NodeId u : ref.nodes) {
-      if (SuccessorsOf(ref, u).empty()) dangling += rank[u];
-    }
-    std::map<NodeId, double> next;
-    const double base = (1.0 - d + d * dangling) / static_cast<double>(n);
-    for (const NodeId v : ref.nodes) next[v] = base;
-    for (const NodeId u : ref.nodes) {
-      const std::vector<NodeId> succ = SuccessorsOf(ref, u);
-      if (succ.empty()) continue;
-      const double share = d * rank[u] / static_cast<double>(succ.size());
-      for (const NodeId v : succ) next[v] += share;
-    }
-    rank = next;
-  }
-  return rank;
-}
-
-// All-pairs hop distances and shortest-path counts, by BFS from each node.
-void NaivePaths(const RefGraph& ref,
-                std::map<NodeId, std::map<NodeId, double>>& dist,
-                std::map<NodeId, std::map<NodeId, double>>& sigma) {
-  for (const NodeId s : ref.nodes) {
-    std::map<NodeId, double>& d = dist[s];
-    std::map<NodeId, double>& sg = sigma[s];
-    for (const NodeId n : ref.nodes) {
-      d[n] = kUnreached;
-      sg[n] = 0.0;
-    }
-    d[s] = 0.0;
-    sg[s] = 1.0;
-    std::queue<NodeId> queue;
-    queue.push(s);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop();
-      for (const NodeId v : SuccessorsOf(ref, u)) {
-        if (d[v] == kUnreached) {
-          d[v] = d[u] + 1.0;
-          queue.push(v);
-        }
-        if (d[v] == d[u] + 1.0) sg[v] += sg[u];
-      }
-    }
-  }
-}
-
-// Betweenness by the pair-dependency definition, no Brandes accumulation:
-// bc[v] = sum over s != v != t of sigma_st(v) / sigma_st.
-std::map<NodeId, double> NaiveBetweenness(const RefGraph& ref) {
-  std::map<NodeId, std::map<NodeId, double>> dist, sigma;
-  NaivePaths(ref, dist, sigma);
-  std::map<NodeId, double> bc;
-  for (const NodeId v : ref.nodes) bc[v] = 0.0;
-  for (const NodeId s : ref.nodes) {
-    for (const NodeId t : ref.nodes) {
-      if (t == s || sigma[s][t] == 0.0) continue;
-      for (const NodeId v : ref.nodes) {
-        if (v == s || v == t) continue;
-        if (dist[s][v] + dist[v][t] == dist[s][t]) {
-          bc[v] += sigma[s][v] * sigma[v][t] / sigma[s][t];
-        }
-      }
-    }
-  }
-  return bc;
-}
-
-double NaiveLcc(const RefGraph& ref, NodeId u) {
-  const std::vector<NodeId> succ = SuccessorsOf(ref, u);
-  if (succ.size() < 2) return 0.0;
-  uint64_t links = 0;
-  for (const NodeId v : succ) {
-    for (const NodeId w : succ) {
-      if (v != w && ref.edges.count(EdgeKey(Edge{v, w})) != 0) ++links;
-    }
-  }
-  return static_cast<double>(links) /
-         (static_cast<double>(succ.size()) *
-          static_cast<double>(succ.size() - 1));
-}
+using reference::BuildRef;
+using reference::NaiveBetweenness;
+using reference::NaiveBfs;
+using reference::NaiveLcc;
+using reference::NaivePageRank;
+using reference::NaiveSccRepresentatives;
+using reference::NaiveSssp;
+using reference::NaiveTriangles;
+using reference::RefGraph;
 
 // ---- Fixtures -------------------------------------------------------------
 
@@ -334,13 +139,6 @@ TEST_P(AnalyticsKernelsTest, SsspMatchesNaiveDijkstra) {
     for (const NodeId n : ref_.nodes) {
       EXPECT_EQ(ValueAt(result, n), expected.at(n)) << n;
     }
-    // The delta-stepping variant settles the same distances, at any width.
-    for (const uint64_t delta : {1, 2, 16}) {
-      const KernelResult stepped = analytics::sssp::RunDeltaStepping(
-          snapshot_, Span<const NodeId>(c.sources), delta);
-      EXPECT_EQ(stepped.per_node, result.per_node) << "delta=" << delta;
-      EXPECT_EQ(stepped.aggregate, result.aggregate);
-    }
   }
 }
 
@@ -373,18 +171,8 @@ TEST_P(AnalyticsKernelsTest, SccPartitionMatchesMutualReachability) {
     Load(c);
     const KernelResult result =
         analytics::connected_components::Run(snapshot_, Span<const NodeId>());
-    const auto reach = NaiveReachability(ref_);
-    std::set<double> component_ids;
-    for (const NodeId a : ref_.nodes) {
-      component_ids.insert(ValueAt(result, a));
-      for (const NodeId b : ref_.nodes) {
-        const bool mutual =
-            reach.at(a).count(b) != 0 && reach.at(b).count(a) != 0;
-        EXPECT_EQ(ValueAt(result, a) == ValueAt(result, b), mutual)
-            << a << " vs " << b;
-      }
-    }
-    EXPECT_EQ(result.aggregate, component_ids.size());
+    reference::ExpectSccPartition(snapshot_, result,
+                                  NaiveSccRepresentatives(ref_));
   }
 }
 
@@ -413,7 +201,7 @@ TEST_P(AnalyticsKernelsTest, BetweennessMatchesPairDependencies) {
     const KernelResult result =
         analytics::betweenness::Run(snapshot_, Span<const NodeId>());
     EXPECT_EQ(result.aggregate, ref_.nodes.size());
-    const auto expected = NaiveBetweenness(ref_);
+    const auto expected = NaiveBetweenness(ref_, {});
     for (const NodeId n : ref_.nodes) {
       EXPECT_NEAR(ValueAt(result, n), expected.at(n), 1e-9) << n;
     }

@@ -6,6 +6,7 @@
 // with interleaved partial commands over one table.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,6 +147,29 @@ TEST(RespConnectionTest, PipelinedFeedAnswersInRequestOrder) {
                             EncodeCommand({"ECHO", "3rd"}),
                         &out));
   EXPECT_EQ(out, "$3\r\n1st\r\n+PONG\r\n$3\r\n3rd\r\n");
+}
+
+TEST(RespConnectionTest, ThrowingHandlerRepliesErrorAndKeepsServing) {
+  // The served shape of a DurableStore whose WAL has failed: the handler
+  // throws. The exception must become that command's error reply, not
+  // unwind out of the transport thread, and the next pipelined command
+  // must still be answered.
+  CommandTable table;
+  RegisterEcho(&table);
+  table.RegisterCommand("THROW", 1,
+                        [](Span<const std::string_view>) -> RespValue {
+                          throw std::runtime_error("wal write failed");
+                        });
+  RespConnection conn(&table);
+  std::string out;
+  EXPECT_TRUE(conn.Feed(EncodeCommand({"THROW"}) + EncodeCommand({"PING"}),
+                        &out));
+  EXPECT_EQ(out, "-ERR wal write failed\r\n+PONG\r\n");
+  EXPECT_EQ(conn.stats().commands, 2u);
+  EXPECT_EQ(conn.stats().error_replies, 1u);
+  EXPECT_EQ(conn.stats().protocol_errors, 0u);
+  EXPECT_EQ(table.commands_dispatched(), 2u);
+  EXPECT_EQ(table.dispatch_errors(), 1u);
 }
 
 TEST(RespConnectionTest, StatsCountBytesBothWays) {

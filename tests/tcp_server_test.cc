@@ -288,10 +288,26 @@ TEST_F(TcpRespServerTest, SignalStormDoesNotDisruptService) {
   noop.sa_flags = 0;  // deliberately no SA_RESTART
   ASSERT_EQ(sigaction(SIGUSR1, &noop, &previous), 0);
 
+  // Stops the storm and restores the old handler on every exit path: a
+  // failed ASSERT (or a throwing Execute) leaves the test body early, and
+  // destroying a still-joinable std::thread there would std::terminate
+  // the whole test binary.
+  struct StormGuard {
+    explicit StormGuard(const struct sigaction& previous)
+        : previous(previous) {}
+    ~StormGuard() {
+      storming.store(false, std::memory_order_relaxed);
+      if (thread.joinable()) thread.join();
+      EXPECT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
+    }
+    struct sigaction previous;
+    std::atomic<bool> storming{true};
+    std::thread thread;
+  } storm(previous);
+
   StartServer();
-  std::atomic<bool> storming{true};
-  std::thread storm([&storming] {
-    while (storming.load(std::memory_order_relaxed)) {
+  storm.thread = std::thread([&storm] {
+    while (storm.storming.load(std::memory_order_relaxed)) {
       ::kill(::getpid(), SIGUSR1);  // lands on an arbitrary thread
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -311,10 +327,6 @@ TEST_F(TcpRespServerTest, SignalStormDoesNotDisruptService) {
   // blast radius too.
   server_->Stop();
   EXPECT_FALSE(server_->running());
-
-  storming.store(false, std::memory_order_relaxed);
-  storm.join();
-  ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
   EXPECT_EQ(store_.NumEdges(), 400u);
 }
 
