@@ -11,6 +11,66 @@
 
 namespace cuckoograph::analytics {
 
+// Build-local open-addressing table from original id to dense id: linear
+// probing over a power-of-two capacity kept at most half full. A slot's
+// key is uint64(id) + 1, so 0 marks an empty slot while ids 0 and ~0u
+// both stay valid. It serves as a lane's dedup set while the universe is
+// collected (ranks unused) and as the universe's id -> rank map.
+class DenseIdMap {
+ public:
+  explicit DenseIdMap(size_t expected) {
+    size_t capacity = 16;
+    while (capacity < 2 * expected) capacity *= 2;
+    Rehash(capacity);
+  }
+
+  // Adds `id` with `rank` unless already present; true when added.
+  bool Insert(NodeId id, DenseId rank = 0) {
+    Slot& slot = slots_[SlotOf(id)];
+    if (slot.key != 0) return false;
+    slot = Slot{Key(id), rank};
+    if (2 * ++size_ > slots_.size()) Rehash(2 * slots_.size());
+    return true;
+  }
+
+  // The rank stored with `id`, or CsrSnapshot::kAbsent.
+  DenseId Find(NodeId id) const {
+    const Slot& slot = slots_[SlotOf(id)];
+    return slot.key != 0 ? slot.rank : CsrSnapshot::kAbsent;
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;  // uint64(id) + 1; 0 = empty
+    DenseId rank = 0;
+  };
+
+  static uint64_t Key(NodeId id) { return uint64_t{id} + 1; }
+
+  // The slot holding `id`, or the empty slot that ends its probe run (the
+  // table is never full, so one exists).
+  size_t SlotOf(NodeId id) const {
+    const uint64_t key = Key(id);
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    for (const Slot& s : old) {
+      if (s.key != 0) slots_[SlotOf(static_cast<NodeId>(s.key - 1))] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  unsigned shift_ = 64;  // 64 - log2(capacity)
+  size_t size_ = 0;
+};
+
 namespace {
 
 // One edge in dense coordinates, carried through the sort that canonicalizes
@@ -25,6 +85,45 @@ std::vector<NodeId> SortedUnique(std::vector<NodeId> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
+}
+
+// The ascending distinct endpoints of `edges` — sinks with no out-edges
+// included, since neighbor segments point at them. The edges split into
+// one contiguous block per lane; each lane dedups its block into its own
+// DenseIdMap and keeps the ids it added, and the lanes' lists (at most
+// lanes x n ids) are sort-uniqued, so the result is the same at any
+// budget.
+std::vector<NodeId> EndpointUniverse(Span<const Edge> edges,
+                                     const SnapshotOptions& opts) {
+  const size_t m = edges.size();
+  const size_t grain = std::max<size_t>(opts.grain, 1);
+  const size_t blocks = std::clamp<size_t>(
+      (m + grain - 1) / grain, 1, std::max<size_t>(opts.num_threads, 1));
+  std::vector<std::vector<NodeId>> added(blocks);
+  // One index per block: a lane that gets [first, last) dedups the
+  // contiguous edge range those blocks cover.
+  BudgetedParallelFor(blocks, 1, 0, blocks, [&](size_t first, size_t last) {
+    DenseIdMap seen(1024);
+    std::vector<NodeId>& out = added[first];
+    for (size_t i = m * first / blocks; i < m * last / blocks; ++i) {
+      if (seen.Insert(edges[i].u)) out.push_back(edges[i].u);
+      if (seen.Insert(edges[i].v)) out.push_back(edges[i].v);
+    }
+  });
+  std::vector<NodeId> universe = std::move(added.front());
+  for (size_t b = 1; b < blocks; ++b) {
+    universe.insert(universe.end(), added[b].begin(), added[b].end());
+  }
+  return SortedUnique(std::move(universe));
+}
+
+// The id -> dense id map of an ascending universe.
+DenseIdMap RankMap(const std::vector<NodeId>& universe) {
+  DenseIdMap ranks(universe.size());
+  for (size_t r = 0; r < universe.size(); ++r) {
+    ranks.Insert(universe[r], static_cast<DenseId>(r));
+  }
+  return ranks;
 }
 
 // Runs `extract(u, emit)` over every member of `sources` and returns the
@@ -74,14 +173,15 @@ std::vector<uint64_t> PullWeights(const GraphStore& store,
 
 }  // namespace
 
-// Atomic degree count -> prefix sum -> scatter -> per-segment sort/dedup
-// -> second prefix sum -> compact, each pass spread over opts.num_threads
-// lanes. Every segment ends up ascending and unique, and duplicate weights
-// sum to the same uint64 in any accumulation order, so the snapshot is
-// byte-identical at any budget.
+// Remap through `ranks` -> atomic degree count -> prefix sum -> scatter
+// -> per-segment sort/dedup -> second prefix sum -> compact, each pass
+// spread over opts.num_threads lanes. Every segment ends up ascending and
+// unique, and duplicate weights sum to the same uint64 in any
+// accumulation order, so the snapshot is byte-identical at any budget.
 CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
                                std::vector<uint64_t> weights,
                                std::vector<NodeId> universe,
+                               const DenseIdMap& ranks,
                                const SnapshotOptions& opts) {
   CsrSnapshot snap;
   snap.originals_ = std::move(universe);
@@ -96,8 +196,8 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
   std::vector<DenseEdge> dense(m);
   parallel_for(m, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      dense[i].u = snap.ToDense(edges[i].u);
-      dense[i].v = snap.ToDense(edges[i].v);
+      dense[i].u = ranks.Find(edges[i].u);
+      dense[i].v = ranks.Find(edges[i].v);
       dense[i].w = weighted ? weights[i] : 1;
     }
   });
@@ -211,16 +311,10 @@ CsrSnapshot CsrSnapshot::FromStore(const GraphStore& store,
         "quiesce writers before snapshotting (see csr_snapshot.h)");
   }
 
-  // The universe is every endpoint: sinks holding no out-edges still need
-  // dense ids because neighbor segments point at them.
-  std::vector<NodeId> universe;
-  universe.reserve(edges.size() * 2);
-  for (const Edge& e : edges) {
-    universe.push_back(e.u);
-    universe.push_back(e.v);
-  }
-  return Build(std::move(edges), std::move(weights),
-               SortedUnique(std::move(universe)), opts);
+  std::vector<NodeId> universe = EndpointUniverse(edges, opts);
+  const DenseIdMap ranks = RankMap(universe);
+  return Build(std::move(edges), std::move(weights), std::move(universe),
+               ranks, opts);
 }
 
 CsrSnapshot CsrSnapshot::FromStore(const GraphStore& store,
@@ -233,9 +327,8 @@ CsrSnapshot CsrSnapshot::FromStore(const GraphStore& store,
 
   std::vector<NodeId> universe =
       SortedUnique(std::vector<NodeId>(nodes.begin(), nodes.end()));
-  const auto member = [&universe](NodeId v) {
-    return std::binary_search(universe.begin(), universe.end(), v);
-  };
+  const DenseIdMap ranks = RankMap(universe);
+  const auto member = [&ranks](NodeId v) { return ranks.Find(v) != kAbsent; };
 
   std::vector<Edge> edges = ExtractEdgesOrdered(
       opts, universe, [&store, &member](NodeId u, std::vector<Edge>& out) {
@@ -256,7 +349,7 @@ CsrSnapshot CsrSnapshot::FromStore(const GraphStore& store,
     weights = PullWeights(store, edges, opts);
   }
   return Build(std::move(edges), std::move(weights), std::move(universe),
-               opts);
+               ranks, opts);
 }
 
 CsrSnapshot CsrSnapshot::FromEdges(Span<const Edge> edges,
@@ -267,15 +360,11 @@ CsrSnapshot CsrSnapshot::FromEdges(Span<const Edge> edges,
         "CsrSnapshot::FromEdges: weights must be empty or parallel to "
         "edges");
   }
-  std::vector<NodeId> universe;
-  universe.reserve(edges.size() * 2);
-  for (const Edge& e : edges) {
-    universe.push_back(e.u);
-    universe.push_back(e.v);
-  }
+  std::vector<NodeId> universe = EndpointUniverse(edges, opts);
+  const DenseIdMap ranks = RankMap(universe);
   return Build(std::vector<Edge>(edges.begin(), edges.end()),
                std::vector<uint64_t>(weights.begin(), weights.end()),
-               SortedUnique(std::move(universe)), opts);
+               std::move(universe), ranks, opts);
 }
 
 bool CsrSnapshot::HasEdge(DenseId u, DenseId v) const {

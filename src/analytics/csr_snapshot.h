@@ -22,6 +22,9 @@ namespace cuckoograph::analytics {
 // Index into the snapshot's dense [0, num_nodes) vertex space.
 using DenseId = uint32_t;
 
+// The builder's id -> dense id table (defined in csr_snapshot.cc).
+class DenseIdMap;
+
 // Snapshot-build options (namespace scope so it is complete before the
 // builders' default arguments are parsed).
 struct SnapshotOptions {
@@ -35,12 +38,18 @@ struct SnapshotOptions {
   // Lanes the build may use (the calling thread counts as one; 0 counts
   // as 1). One builder serves every budget: it extracts per-source
   // adjacency and weights (safe on a quiesced store: concurrent const
-  // reads race nothing once writers stop) and constructs the CSR by
-  // degree-count / prefix-sum / scatter / per-segment sort, each pass
-  // spread over the lanes. The result is byte-identical at any budget —
-  // segment order is canonical and duplicate-weight accumulation is an
-  // order-independent integer sum — which tests/parallel_kernels_test.cc
-  // checks per scheme against a naive model.
+  // reads race nothing once writers stop); collects the vertex universe
+  // by deduplicating each lane's block of endpoints in a hash set and
+  // sorting the lanes' distinct ids once; remaps every endpoint through a
+  // build-local open-addressing id -> dense id table; and constructs the
+  // CSR by degree-count / prefix-sum / scatter / per-segment sort. The
+  // per-edge and per-vertex passes are spread over the lanes; the merge
+  // of the lanes' ids, the id table and the prefix sums stay on the
+  // calling thread. The result is byte-identical at any budget — the
+  // universe is the same ascending set, segment order is canonical and
+  // duplicate-weight accumulation is an order-independent integer sum —
+  // which tests/parallel_kernels_test.cc checks per scheme against a
+  // naive model.
   size_t num_threads = 1;
   // Minimum items per parallel-for chunk (sources during extraction,
   // edges/vertices during construction).
@@ -115,7 +124,8 @@ class CsrSnapshot {
   NodeId ToOriginal(DenseId dense) const { return originals_[dense]; }
 
   // Dense id of an original node id, or kAbsent. Binary search over the
-  // ascending original-id table — no hash map is kept.
+  // ascending original-id table: the builder's hash table is dropped when
+  // the build returns, so the snapshot keeps no map.
   DenseId ToDense(NodeId original) const;
 
   // Dense -> original table, ascending by original id.
@@ -135,6 +145,7 @@ class CsrSnapshot {
   static CsrSnapshot Build(std::vector<Edge> edges,
                            std::vector<uint64_t> weights,
                            std::vector<NodeId> universe,
+                           const DenseIdMap& ranks,
                            const SnapshotOptions& opts);
 
   std::vector<size_t> offsets_;     // num_nodes + 1 entries

@@ -9,8 +9,8 @@ namespace cuckoograph {
 
 namespace {
 
-// Cursor over an owned id list — Nodes() materializes its answer under
-// the shard locks so the cursor never dangles into a shard.
+// Cursor over an owned id list — Nodes() and Neighbors() materialize their
+// answer under the shard locks so the cursor never dangles into a shard.
 class VectorCursor final : public NeighborCursor {
  public:
   explicit VectorCursor(std::vector<NodeId> ids) : ids_(std::move(ids)) {}
@@ -235,9 +235,14 @@ size_t ShardedCuckooGraph::DeleteEdges(Span<const Edge> edges) {
 
 std::unique_ptr<NeighborCursor> ShardedCuckooGraph::Neighbors(
     NodeId u) const {
+  // Copied under the reader lock, like Nodes(): a leased in-place cursor
+  // would be drained after the lock drops, racing any writer on the shard.
+  std::vector<NodeId> ids;
   const Shard& shard = *shards_[ShardIndex(u)];
   ReaderMutexLock lock(&shard.mu);
-  return shard.graph.Neighbors(u);
+  ids.reserve(shard.graph.OutDegree(u));
+  shard.graph.ForEachNeighbor(u, [&ids](NodeId v) { ids.push_back(v); });
+  return std::make_unique<VectorCursor>(std::move(ids));
 }
 
 std::unique_ptr<NeighborCursor> ShardedCuckooGraph::Nodes() const {

@@ -16,10 +16,11 @@
 //    the shard locks one at a time — each answer is exact only if no
 //    writer runs concurrently, which is all a sum of moving counters can
 //    promise;
-//  - cursors follow the store-wide contract: any mutation invalidates
-//    them, so Neighbors()/Nodes() require a quiesced store while drained.
-//    Nodes() materializes its id list under the locks, Neighbors(u) leases
-//    the shard's in-place cursor.
+//  - cursors own their ids: Neighbors(u) copies u's successors under its
+//    shard's reader lock, and Nodes() materializes the vertex list taking
+//    the shard locks one at a time, so draining either races no writer.
+//    Neighbors(u) is a consistent copy of one adjacency; Nodes() (like
+//    the accounting above) is exact only on a quiesced store.
 //
 // The discipline is machine-checked: each shard's CuckooGraph is
 // CUCKOOGRAPH_GUARDED_BY its stripe lock, so any access path that does

@@ -26,10 +26,10 @@ namespace cuckoograph::redis_sim {
 
 // Registers the CG.* command family over any GraphStore (`store` must
 // outlive the table's use of the handlers). With a store advertising
-// Capabilities().concurrent_mutations (e.g. cuckoo-sharded) the edge-op
-// handlers are safe to dispatch from several server workers at once;
-// CG.NEIGHBORS drains a cursor and follows the store-wide quiescence
-// rule, so concurrent deployments should treat it as an offline command.
+// Capabilities().concurrent_mutations (e.g. cuckoo-sharded) the handlers
+// are safe to dispatch from several server workers at once; CG.NEIGHBORS
+// drains the sharded store's Neighbors() copy, taken under the shard's
+// reader lock.
 void RegisterGraphCommands(CommandTable* table, GraphStore* store);
 
 // The self-contained module: owns a single-threaded CuckooGraph and

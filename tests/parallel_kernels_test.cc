@@ -13,10 +13,12 @@
 //     their own order).
 //
 // The snapshot side: CsrSnapshot must hold exactly the model's vertex
-// universe, ascending adjacency and accumulated weights at every budget,
-// and must still throw std::logic_error when the store's edge count
-// drifts mid-build. The suite name is wired into the TSan CI regex, so
-// every claim here is also raced.
+// universe, ascending adjacency and accumulated weights at every budget
+// (also on id sets built to stress the builder's id table: 0 and ~0u,
+// ids sparse over 32 bits, sink-only targets, 120k distinct ids), be
+// byte-identical across budgets, and must still throw std::logic_error
+// when the store's edge count drifts mid-build. The suite name is wired
+// into the TSan CI regex, so every claim here is also raced.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -498,6 +500,170 @@ TEST(ParallelKernelSnapshotTest, FromEdgesParallelMatchesSequential) {
         CsrSnapshot::FromEdges(Span<const Edge>(edges),
                                Span<const uint64_t>(weights), opts),
         ref.nodes, ref, true);
+  }
+}
+
+// ---- Vertex universe and dense remap edge cases ---------------------------
+
+// Every byte two snapshots expose: the universe, each segment, each weight.
+void ExpectSameSnapshot(const CsrSnapshot& got, const CsrSnapshot& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  ASSERT_EQ(got.has_weights(), want.has_weights());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+  for (DenseId u = 0; u < got.num_nodes(); ++u) {
+    ASSERT_EQ(got.ToOriginal(u), want.ToOriginal(u)) << u;
+    ASSERT_EQ(got.Degree(u), want.Degree(u)) << u;
+    for (size_t i = 0; i < got.Degree(u); ++i) {
+      EXPECT_EQ(got.Neighbors(u)[i], want.Neighbors(u)[i]) << u;
+      if (got.has_weights()) {
+        EXPECT_EQ(got.Weights(u)[i], want.Weights(u)[i]) << u;
+      }
+    }
+  }
+}
+
+struct UniverseCase {
+  std::string name;
+  std::vector<Edge> stream;  // may contain duplicate arrivals
+};
+
+// Id sets that stress the builder's id -> dense id table rather than the
+// CSR: the extreme ids (0 is the first id, ~0u the last, and neither may
+// read as an empty slot), ids scattered over the whole 32-bit range,
+// targets that are never sources, and more distinct ids than a lane's
+// dedup set starts with, so every lane's set grows.
+std::vector<UniverseCase> UniverseCases() {
+  constexpr NodeId kMax = ~NodeId{0};
+  std::vector<UniverseCase> cases;
+  {
+    // Every ordered pair over the extreme ids, self loops included.
+    UniverseCase extremes{"extreme_ids", {}};
+    const std::vector<NodeId> ids{0, 1, kMax - 1, kMax};
+    for (const NodeId u : ids) {
+      for (const NodeId v : ids) extremes.stream.push_back(Edge{u, v});
+    }
+    extremes.stream.push_back(Edge{kMax, 0});  // duplicate arrival
+    cases.push_back(std::move(extremes));
+  }
+  {
+    UniverseCase sparse{"sparse_32bit", {}};
+    SplitMix64 rng(0x5BA25Eu);
+    std::vector<NodeId> ids(300);
+    for (NodeId& id : ids) id = static_cast<NodeId>(rng.Next() >> 32);
+    for (int i = 0; i < 3000; ++i) {
+      const NodeId u = ids[rng.NextBelow(ids.size())];
+      sparse.stream.push_back(Edge{u, ids[rng.NextBelow(ids.size())]});
+    }
+    cases.push_back(std::move(sparse));
+  }
+  {
+    // 50 sources -> 400 sinks: most of the universe holds no out-edges.
+    UniverseCase bipartite{"bipartite_sinks", {}};
+    SplitMix64 rng(0xB1Au);
+    for (int i = 0; i < 2000; ++i) {
+      const NodeId source = rng.NextBelow(50) * 1000003u;
+      const NodeId sink = 4000000000u - rng.NextBelow(400);
+      bipartite.stream.push_back(Edge{source, sink});
+    }
+    cases.push_back(std::move(bipartite));
+  }
+  {
+    // 60k edges over 120k distinct ids, plus a repeated hub edge.
+    UniverseCase many{"120k_distinct_ids", {}};
+    for (uint32_t i = 0; i < 60000; ++i) {
+      many.stream.push_back(Edge{i * 2654435761u, i * 40503u + 7});
+      if (i % 100 == 0) many.stream.push_back(Edge{7, 14});
+    }
+    cases.push_back(std::move(many));
+  }
+  return cases;
+}
+
+CsrSnapshot::Options SnapshotOptsFor(size_t threads) {
+  CsrSnapshot::Options opts;
+  opts.with_weights = true;
+  opts.num_threads = threads;
+  opts.grain = 2;
+  return opts;
+}
+
+TEST(ParallelKernelSnapshotTest, UniverseEdgeCasesMatchModelAtEveryBudget) {
+  for (const UniverseCase& c : UniverseCases()) {
+    SCOPED_TRACE(c.name);
+    const RefGraph ref = BuildRef(c.stream, /*weighted=*/true);
+    const std::vector<uint64_t> unit(c.stream.size(), 1);
+    CsrSnapshot one_lane;
+    for (const size_t threads : ThreadBudgets()) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const CsrSnapshot::Options opts = SnapshotOptsFor(threads);
+      CsrSnapshot got = CsrSnapshot::FromEdges(c.stream, unit, opts);
+      ExpectSnapshotMatchesRef(got, ref.nodes, ref, true);
+      if (threads == 1) {
+        one_lane = std::move(got);
+      } else {
+        ExpectSameSnapshot(got, one_lane);
+      }
+    }
+  }
+}
+
+TEST_P(ParallelKernelSnapshotTest, UniverseEdgeCasesFromStore) {
+  for (const UniverseCase& c : UniverseCases()) {
+    if (c.stream.size() > 10000) continue;  // FromEdges covers the big case
+    SCOPED_TRACE(c.name);
+    const auto store = MakeStoreByName(GetParam());
+    store->InsertEdges(c.stream);
+    const RefGraph ref = BuildRef(c.stream, store->Capabilities().weighted);
+    CsrSnapshot one_lane;
+    for (const size_t threads : ThreadBudgets()) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const CsrSnapshot::Options opts = SnapshotOptsFor(threads);
+      CsrSnapshot got = CsrSnapshot::FromStore(*store, opts);
+      ExpectSnapshotMatchesRef(got, ref.nodes, ref, true);
+      if (threads == 1) {
+        one_lane = std::move(got);
+      } else {
+        ExpectSameSnapshot(got, one_lane);
+      }
+    }
+  }
+}
+
+TEST_P(ParallelKernelSnapshotTest, InducedFromStoreAbsentAndDuplicateIds) {
+  // `nodes` repeats members and names ids the store has never seen (0 and
+  // ~0u among them): the universe is the deduplicated `nodes`, absent ids
+  // included as degree-0 vertices, and only edges inside it survive.
+  constexpr NodeId kMax = ~NodeId{0};
+  std::vector<Edge> stream{{1, 2}, {2, 3}, {3, 1}, {1, kMax}, {kMax, 2}};
+  stream.insert(stream.end(), {{2, 99}, {99, 1}, {5, 6}, {1, 2}});
+  stream.insert(stream.end(), {{kMax, kMax}, {3, 4000000000u}});
+  const std::vector<NodeId> nodes{kMax, 3, 1, 0, 2, 3, 424242, kMax, 1, 6};
+  const std::set<NodeId> distinct(nodes.begin(), nodes.end());
+  const std::vector<NodeId> universe(distinct.begin(), distinct.end());
+  std::vector<Edge> induced_stream;
+  for (const Edge& e : stream) {
+    if (distinct.count(e.u) && distinct.count(e.v)) induced_stream.push_back(e);
+  }
+
+  const auto store = MakeStoreByName(GetParam());
+  store->InsertEdges(stream);
+  const bool weighted = store->Capabilities().weighted;
+  const RefGraph ref = BuildRef(induced_stream, weighted);
+  CsrSnapshot one_lane;
+  for (const size_t threads : ThreadBudgets()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const CsrSnapshot::Options opts = SnapshotOptsFor(threads);
+    CsrSnapshot got = CsrSnapshot::FromStore(*store, nodes, opts);
+    ExpectSnapshotMatchesRef(got, universe, ref, true);
+    EXPECT_EQ(got.ToDense(424242), 5u);  // absent from the store, kept
+    EXPECT_EQ(got.Degree(got.ToDense(0)), 0u);
+    EXPECT_EQ(got.ToDense(99), CsrSnapshot::kAbsent);
+    if (threads == 1) {
+      one_lane = std::move(got);
+    } else {
+      ExpectSameSnapshot(got, one_lane);
+    }
   }
 }
 

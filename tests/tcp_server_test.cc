@@ -2,7 +2,8 @@
 // pipelining, torn-frame (1-byte-at-a-time) slow clients, protocol-error
 // disconnects, and the concurrency smoke the sim cannot provide — four
 // client threads driving pipelined CG.INSERT/CG.QUERY against a sharded
-// store, every reply checked against a single-threaded oracle. These
+// store, every reply checked against a single-threaded oracle, and
+// CG.NEIGHBORS on a hub racing CG.INSERT/CG.DEL on the same hub. These
 // suites run under the CI TSan job (see the -R filter in ci.yml).
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -247,6 +248,112 @@ TEST_F(TcpRespServerTest, FourThreadedPipelinedClientsMatchOracle) {
   }
   EXPECT_EQ(store_.NumEdges(), expected_edges);
   EXPECT_GE(server_->stats().connections_accepted, 4u);
+}
+
+TEST_F(TcpRespServerTest, NeighborsOfAHubRacesInsertAndDelete) {
+  // CG.NEIGHBORS on one hub while CG.INSERT/CG.DEL churn the same hub's
+  // adjacency from the other worker. Connections go to workers round-robin
+  // and connect writer, reader, writer, reader, so the writers share one
+  // worker and the readers the other. Every reply must be a well-formed
+  // adjacency: no duplicate, no id the writers never used, and every
+  // pinned edge (inserted up front, never deleted) present.
+  StartServer(/*num_workers=*/2);
+  constexpr NodeId kHub = 7;
+  constexpr NodeId kTargets = 256;  // per writer; grows the hub past inline
+  constexpr NodeId kPinned = 1000000;
+  constexpr int kPinnedCount = 8;
+  for (int p = 0; p < kPinnedCount; ++p) {
+    store_.InsertEdge(kHub, kPinned + static_cast<NodeId>(p));
+  }
+
+  constexpr int kPairs = 2;
+  std::vector<RespClient> writers, readers;
+  for (int c = 0; c < kPairs; ++c) {
+    writers.push_back(Connect());
+    readers.push_back(Connect());
+  }
+  std::atomic<int> writers_running{kPairs};
+  std::vector<std::string> failures(2 * kPairs);
+  std::vector<std::unordered_set<NodeId>> oracles(kPairs);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kPairs; ++c) {
+    threads.emplace_back([&, c] {
+      RespClient& writer = writers[static_cast<size_t>(c)];
+      const NodeId base = static_cast<NodeId>(c) * kTargets;
+      std::unordered_set<NodeId>& oracle = oracles[static_cast<size_t>(c)];
+      SplitMix64 rng(31 + static_cast<uint64_t>(c));
+      try {
+        for (int round = 0; round < 60; ++round) {
+          std::vector<long long> expected;
+          for (int i = 0; i < 64; ++i) {
+            const NodeId v = base + rng.NextBelow(kTargets);
+            const bool insert = rng.NextBelow(3) != 0;
+            const char* op = insert ? "CG.INSERT" : "CG.DEL";
+            writer.Pipeline({op, std::to_string(kHub), std::to_string(v)});
+            expected.push_back(insert ? oracle.insert(v).second
+                                      : oracle.erase(v) != 0);
+          }
+          const std::vector<RespValue> replies = writer.Flush();
+          for (size_t i = 0; i < replies.size(); ++i) {
+            if (replies[i].integer != expected[i]) {
+              failures[static_cast<size_t>(c)] = "writer reply diverged";
+            }
+          }
+        }
+      } catch (const std::exception& e) {
+        failures[static_cast<size_t>(c)] = e.what();
+      }
+      writers_running.fetch_sub(1, std::memory_order_release);
+    });
+    threads.emplace_back([&, c] {
+      RespClient& reader = readers[static_cast<size_t>(c)];
+      std::string& failure = failures[static_cast<size_t>(kPairs + c)];
+      const auto writing = [&writers_running] {
+        return writers_running.load(std::memory_order_acquire) > 0;
+      };
+      try {
+        for (int i = 0; (i < 50 || writing()) && failure.empty(); ++i) {
+          const RespValue reply =
+              reader.Execute({"CG.NEIGHBORS", std::to_string(kHub)});
+          if (reply.type != RespType::kArray) {
+            failure = "NEIGHBORS reply is not an array";
+            break;
+          }
+          std::unordered_set<NodeId> seen;
+          int pinned = 0;
+          for (const RespValue& element : reply.elements) {
+            const NodeId v = static_cast<NodeId>(std::stoul(element.text));
+            if (!seen.insert(v).second) failure = "duplicate neighbor";
+            if (v >= kPinned) {
+              ++pinned;
+            } else if (v >= kPairs * kTargets) {
+              failure = "neighbor no writer inserted";
+            }
+          }
+          if (pinned != kPinnedCount) failure = "pinned neighbor missing";
+        }
+      } catch (const std::exception& e) {
+        failure = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+
+  // Quiesced: the adjacency is exactly the pinned edges plus the oracles.
+  const RespValue final_reply =
+      writers.front().Execute({"CG.NEIGHBORS", std::to_string(kHub)});
+  std::unordered_set<NodeId> want;
+  for (int p = 0; p < kPinnedCount; ++p) {
+    want.insert(kPinned + static_cast<NodeId>(p));
+  }
+  for (const auto& oracle : oracles) want.insert(oracle.begin(), oracle.end());
+  std::unordered_set<NodeId> got;
+  for (const RespValue& element : final_reply.elements) {
+    got.insert(static_cast<NodeId>(std::stoul(element.text)));
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(final_reply.elements.size(), want.size());
 }
 
 TEST_F(TcpRespServerTest, BindFailureReportsAReadableErrnoMessage) {
