@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the core CuckooGraph operations:
 // per-op latency of insert/query/delete/successor iteration at several
 // graph sizes, plus the raw BobHash and cuckoo-table primitives. These back
-// the per-op numbers quoted in EXPERIMENTS.md.
+// the per-op numbers quoted in docs/PERFORMANCE.md.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -334,7 +334,7 @@ BENCHMARK(BM_ProbeInlineKeysScalar);
 // One-thread sharded ops vs the raw core: the spread is the per-op price
 // of the stripe lock + shard routing (the single-thread trade-off
 // docs/PERFORMANCE.md quotes); the multi-thread payoff is measured by
-// bench_scalability, not here (google-benchmark threads would share the
+// the scalability figure, not here (google-benchmark threads would share the
 // graph, which is exactly what it measures already).
 
 void BM_ShardedInsertEdge(benchmark::State& state) {

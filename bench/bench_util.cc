@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <cstdio>
 
 namespace cuckoograph::bench {
 
@@ -8,6 +9,15 @@ namespace {
 
 // The --csv capture target; null when capture is off.
 std::FILE* csv_file = nullptr;
+
+// Width of each data column of the last PrintHeader: 15 or the header's
+// length, whichever is larger. Every cell prints one space plus its width.
+std::vector<int> column_widths;
+
+void PrintCell(size_t column, const std::string& cell) {
+  const int width = column < column_widths.size() ? column_widths[column] : 15;
+  std::printf(" %*s", width, cell.c_str());
+}
 
 void CsvWriteLine(const std::string& experiment, const std::string& label,
                   const std::vector<std::string>& cells) {
@@ -20,34 +30,10 @@ void CsvWriteLine(const std::string& experiment, const std::string& label,
   std::fprintf(csv_file, "\n");
 }
 
-}  // namespace
-
-bool OpenCsv(const std::string& path) {
-  CloseCsv();
-  csv_file = std::fopen(path.c_str(), "w");
-  if (csv_file == nullptr) {
-    std::fprintf(stderr, "warning: cannot open --csv file %s\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-void CloseCsv() {
-  if (csv_file != nullptr) {
-    std::fclose(csv_file);
-    csv_file = nullptr;
-  }
-}
-
-void MaybeOpenCsvFromFlags(const Flags& flags) {
-  const std::string path = flags.GetString("csv", "");
-  if (!path.empty()) OpenCsv(path);
-}
-
 double DatasetScale(const std::string& name, double user_scale) {
   // Defaults keep each dataset's stream near 10^5 arrivals while retaining
-  // its duplication ratio and skew (see DESIGN.md, substitutions).
+  // its duplication ratio and skew (the synthetic stand-ins for the paper's
+  // Table IV datasets, src/datasets/datasets.h).
   double base = 0.01;
   if (name == "CAIDA") base = 0.02;            // ~540k arrivals, 17k distinct
   if (name == "NotreDame") base = 0.04;        // ~60k edges
@@ -62,6 +48,26 @@ double DatasetScale(const std::string& name, double user_scale) {
   return scale;
 }
 
+}  // namespace
+
+bool OpenCsv(const std::string& path) {
+  CloseCsv();
+  csv_file = std::fopen(path.c_str(), "w");
+  if (csv_file == nullptr) {
+    std::fprintf(stderr, "error: cannot open --csv file %s\n",
+                 path.c_str());
+    return false;
+  }
+  return true;
+}
+
+void CloseCsv() {
+  if (csv_file != nullptr) {
+    std::fclose(csv_file);
+    csv_file = nullptr;
+  }
+}
+
 datasets::Dataset MakeBenchDataset(const std::string& name,
                                    double user_scale) {
   return datasets::MakeByName(name, DatasetScale(name, user_scale));
@@ -71,7 +77,11 @@ void PrintHeader(const std::string& experiment, const std::string& title,
                  const std::vector<std::string>& columns) {
   std::printf("== %s: %s ==\n", experiment.c_str(), title.c_str());
   std::printf("%-14s", "");
-  for (const std::string& col : columns) std::printf("%16s", col.c_str());
+  column_widths.clear();
+  for (const std::string& col : columns) {
+    column_widths.push_back(std::max(15, static_cast<int>(col.size())));
+    PrintCell(column_widths.size() - 1, col);
+  }
   std::printf("\n");
   if (csv_file != nullptr) {
     std::fprintf(csv_file, "# %s: %s\n", experiment.c_str(), title.c_str());
@@ -82,9 +92,7 @@ void PrintHeader(const std::string& experiment, const std::string& title,
 void PrintRow(const std::string& experiment,
               const std::vector<std::string>& cells) {
   if (!cells.empty()) std::printf("%-14s", cells[0].c_str());
-  for (size_t i = 1; i < cells.size(); ++i) {
-    std::printf("%16s", cells[i].c_str());
-  }
+  for (size_t i = 1; i < cells.size(); ++i) PrintCell(i - 1, cells[i]);
   std::printf("\n");
   std::printf("CSV,%s", experiment.c_str());
   for (const std::string& cell : cells) std::printf(",%s", cell.c_str());
@@ -112,44 +120,11 @@ std::string FmtSeconds(double seconds) {
   return buf;
 }
 
-BasicTaskResult RunBasicTasks(GraphStore& store,
-                              const datasets::Dataset& dataset,
-                              BasicPhase phases,
-                              const std::vector<Edge>* distinct) {
-  BasicTaskResult result;
-  // 1) Insert the full arrival stream, one edge at a time: the figures
-  // measure stream processing, not batch loading.
-  WallTimer timer;
-  for (const Edge& e : dataset.stream) store.InsertEdge(e.u, e.v);
-  result.insert_mops = Mops(dataset.stream.size(), timer.ElapsedSeconds());
-  result.memory_bytes = store.MemoryBytes();
-
-  // 2) Query every stream edge (all hits, mirroring the paper).
-  if (phases == BasicPhase::kQuery || phases == BasicPhase::kAll) {
-    timer.Reset();
-    size_t hits = 0;
-    for (const Edge& e : dataset.stream) hits += store.QueryEdge(e.u, e.v);
-    result.query_mops = Mops(dataset.stream.size(), timer.ElapsedSeconds());
-    if (hits != dataset.stream.size()) {
-      std::fprintf(stderr, "warning: %s missed %zu queries\n",
-                   std::string(store.name()).c_str(),
-                   dataset.stream.size() - hits);
-    }
-  }
-
-  // 3) Delete the distinct edges, schemes that support deletion only.
-  if ((phases == BasicPhase::kDelete || phases == BasicPhase::kAll) &&
-      store.Capabilities().deletions) {
-    std::vector<Edge> local;
-    if (distinct == nullptr) {
-      local = datasets::DedupEdges(dataset.stream);
-      distinct = &local;
-    }
-    timer.Reset();
-    for (const Edge& e : *distinct) store.DeleteEdge(e.u, e.v);
-    result.delete_mops = Mops(distinct->size(), timer.ElapsedSeconds());
-  }
-  return result;
+std::vector<int> PowersOfTwoUpTo(int max) {
+  std::vector<int> counts;
+  for (int n = 1; n <= max; n *= 2) counts.push_back(n);
+  if (!counts.empty() && counts.back() != max) counts.push_back(max);
+  return counts;
 }
 
 }  // namespace cuckoograph::bench

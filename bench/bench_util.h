@@ -1,28 +1,21 @@
-// Shared plumbing for the figure/table reproduction benches: per-dataset
-// default scales (sized so every binary finishes quickly on one core while
-// keeping the paper's relative shapes), row printing, and basic-task
-// drivers used by Figures 6-9.
+// Shared plumbing for the figure/table reproductions: per-dataset default
+// scales (sized so every figure finishes quickly on one core while keeping
+// the paper's relative shapes), row printing and CSV capture.
 #ifndef CUCKOOGRAPH_BENCH_BENCH_UTIL_H_
 #define CUCKOOGRAPH_BENCH_BENCH_UTIL_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "common/flags.h"
 #include "common/timer.h"
 #include "common/types.h"
-#include "core/graph_store.h"
 #include "datasets/datasets.h"
 
 namespace cuckoograph::bench {
 
-// Scales each Table IV profile down to a laptop-sized default stream
-// (roughly 50k-500k arrivals). `user_scale` multiplies the default; pass
-// --scale=50 (for example) to approach the paper's full sizes.
-double DatasetScale(const std::string& name, double user_scale);
-
-// Generates a dataset at bench scale.
+// Generates a Table IV dataset scaled down to a laptop-sized default
+// stream (roughly 50k-500k arrivals). `user_scale` multiplies the default;
+// pass --scale=50 (for example) to approach the paper's full sizes.
 datasets::Dataset MakeBenchDataset(const std::string& name,
                                    double user_scale);
 
@@ -30,7 +23,9 @@ datasets::Dataset MakeBenchDataset(const std::string& name,
 void PrintHeader(const std::string& experiment, const std::string& title,
                  const std::vector<std::string>& columns);
 
-// Prints one aligned row followed by a machine-readable CSV echo.
+// Prints one row aligned to the last header's columns (every cell keeps at
+// least one space from its neighbour), followed by a machine-readable CSV
+// echo.
 void PrintRow(const std::string& experiment,
               const std::vector<std::string>& cells);
 
@@ -45,39 +40,15 @@ bool OpenCsv(const std::string& path);
 // Flushes and closes the capture file (no-op when none is open).
 void CloseCsv();
 
-// Opens the file named by --csv when the flag is present.
-void MaybeOpenCsvFromFlags(const Flags& flags);
-
 // Formats helpers.
 std::string FmtMops(double mops);
 std::string FmtMb(size_t bytes);
 std::string FmtSeconds(double seconds);
 
-// ---- Basic-task drivers (Figures 6-9) ------------------------------------
-
-struct BasicTaskResult {
-  double insert_mops = 0.0;
-  double query_mops = 0.0;
-  double delete_mops = 0.0;
-  size_t memory_bytes = 0;  // after all distinct edges are inserted
-};
-
-// Which phases to time. Insertion always runs (it populates the store);
-// kQuery adds the query pass, kDelete adds the deletion pass (without the
-// query pass fig8 does not report), kAll runs all three.
-enum class BasicPhase { kInsert, kQuery, kDelete, kAll };
-
-// Runs the Section V-D methodology on one store, timing each phase edge-
-// at-a-time: insert the full stream, query every stream edge, delete the
-// distinct edges — running only the phases `phases` selects, so a figure
-// pays for exactly what it reports. The deletion phase is also skipped
-// (delete_mops stays 0) when the store's Capabilities() rule deletions
-// out. Callers looping over schemes should pass the dataset's dedup list
-// as `distinct` so it is not recomputed per scheme.
-BasicTaskResult RunBasicTasks(GraphStore& store,
-                              const datasets::Dataset& dataset,
-                              BasicPhase phases = BasicPhase::kAll,
-                              const std::vector<Edge>* distinct = nullptr);
+// 1, 2, 4, ... up to `max`, ending with `max` itself when it is not a
+// power of two: the thread and connection counts of the sweeps. Empty
+// when `max` < 1.
+std::vector<int> PowersOfTwoUpTo(int max);
 
 }  // namespace cuckoograph::bench
 

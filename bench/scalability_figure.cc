@@ -2,8 +2,8 @@
 // insert / query / delete throughput and a disjoint-range mixed churn at
 // 1..hardware_concurrency threads, against the single-threaded CuckooGraph
 // as the no-locks baseline. Every phase self-checks its final state
-// against expected counts and the binary exits non-zero on disagreement,
-// so the CI smoke run is a correctness gate too.
+// against expected counts and the figure exits non-zero on disagreement,
+// so the smoke run is a correctness gate too.
 //
 // Flags: --scale (stream size multiplier), --shards (Config::num_shards),
 // --threads (sweep ceiling, default hardware_concurrency), --csv <path>.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/flags.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/types.h"
@@ -25,8 +24,10 @@
 #include "core/cuckoo_graph.h"
 #include "core/internal/simd_probe.h"
 #include "core/sharded_cuckoo_graph.h"
+#include "figures.h"
 
-namespace cuckoograph {
+namespace cuckoograph::bench {
+
 namespace {
 
 // The default synthetic stream: the bench_micro_ops shape (sources from a
@@ -341,11 +342,8 @@ ReadScaleResult RunReadScaling(const Config& base, bool optimistic,
 }
 
 }  // namespace
-}  // namespace cuckoograph
 
-int main(int argc, char** argv) {
-  using namespace cuckoograph;
-  const Flags flags(argc, argv);
+int RunScalability(const Figure& figure, const Flags& flags) {
   const double user_scale = flags.GetDouble("scale", 1.0);
   const int max_threads = static_cast<int>(flags.GetInt(
       "threads",
@@ -353,7 +351,6 @@ int main(int argc, char** argv) {
   Config config;
   config.num_shards = static_cast<size_t>(
       flags.GetInt("shards", static_cast<long long>(config.num_shards)));
-  bench::MaybeOpenCsvFromFlags(flags);
 
   const size_t ops =
       std::max<size_t>(20'000, static_cast<size_t>(600'000 * user_scale));
@@ -365,22 +362,21 @@ int main(int argc, char** argv) {
 
   // Data columns only: PrintHeader injects the leading label column
   // (each row's label is "store/threads").
-  bench::PrintHeader(
-      "scalability",
-      "Thread sweep, aggregate Mops (probe backend: " +
-          std::string(internal::ProbeBackendName()) + ")",
+  PrintHeader(
+      figure.id,
+      std::string(figure.title) + " (probe backend: " +
+          internal::ProbeBackendName() + ")",
       {"insert", "query", "delete", "mixed(disjoint)", "agg speedup"});
 
   bool ok = true;
-  const auto report = [&ok](const std::string& label,
-                            const SweepResult& r, double baseline_agg) {
+  const auto report = [&ok, &figure](const std::string& label,
+                                     const SweepResult& r,
+                                     double baseline_agg) {
     const double agg = r.insert_mops + r.query_mops;
-    bench::PrintRow("scalability",
-                    {label, bench::FmtMops(r.insert_mops),
-                     bench::FmtMops(r.query_mops),
-                     bench::FmtMops(r.delete_mops),
-                     bench::FmtMops(r.mixed_mops),
-                     baseline_agg > 0 ? FmtX(agg / baseline_agg) : "-"});
+    PrintRow(figure.id,
+             {label, FmtMops(r.insert_mops), FmtMops(r.query_mops),
+              FmtMops(r.delete_mops), FmtMops(r.mixed_mops),
+              baseline_agg > 0 ? FmtX(agg / baseline_agg) : "-"});
     ok = ok && r.ok;
     return agg;
   };
@@ -393,53 +389,37 @@ int main(int argc, char** argv) {
   }
 
   double sharded_1t_agg = 0;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
+  for (const int threads : PowersOfTwoUpTo(max_threads)) {
     ShardedCuckooGraph store(config);
     const SweepResult r = RunSweep(store, stream, distinct, threads);
     if (threads == 1) sharded_1t_agg = r.insert_mops + r.query_mops;
     report("cuckoo-sharded/" + std::to_string(threads), r, sharded_1t_agg);
-    // Keep the ceiling in the sweep even when it is not a power of two.
-    if (threads < max_threads && threads * 2 > max_threads) {
-      ShardedCuckooGraph last(config);
-      const SweepResult rl = RunSweep(last, stream, distinct, max_threads);
-      report("cuckoo-sharded/" + std::to_string(max_threads), rl,
-             sharded_1t_agg);
-      break;
-    }
   }
 
   // Read-path scaling: two rows per thread count — optimistic_reads off
   // (stripe-locked reads) vs on (seqlock + epoch lock-free reads).
-  bench::PrintHeader(
+  PrintHeader(
       "read-scaling",
       "Read-path sweep, aggregate Mops: stripe-locked vs optimistic "
       "(seqlock+epoch) reads",
       {"query-only", "read-mostly(95/5)"});
-  const auto read_scale_row = [&](int threads) {
+  for (const int threads : PowersOfTwoUpTo(max_threads)) {
     for (const bool optimistic : {false, true}) {
       const ReadScaleResult r =
           RunReadScaling(config, optimistic, stream, distinct, threads);
-      bench::PrintRow(
-          "read-scaling",
-          {std::string(optimistic ? "optimistic/" : "locked/") +
-               std::to_string(threads),
-           bench::FmtMops(r.query_mops),
-           bench::FmtMops(r.read_mostly_mops)});
+      PrintRow("read-scaling",
+               {std::string(optimistic ? "optimistic/" : "locked/") +
+                    std::to_string(threads),
+                FmtMops(r.query_mops), FmtMops(r.read_mostly_mops)});
       ok = ok && r.ok;
-    }
-  };
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    read_scale_row(threads);
-    if (threads < max_threads && threads * 2 > max_threads) {
-      read_scale_row(max_threads);  // keep the non-power-of-two ceiling
-      break;
     }
   }
 
-  bench::CloseCsv();
   if (!ok) {
     std::fprintf(stderr, "scalability: self-check FAILED\n");
     return 1;
   }
   return 0;
 }
+
+}  // namespace cuckoograph::bench

@@ -5,7 +5,7 @@
 // insert / query / delete phases plus a Zipf read/write mix, sweeping
 // connection and server-worker counts. Every reply is checked against a
 // single-threaded oracle replay of that connection's op stream and the
-// binary exits non-zero on any divergence, so the CI smoke run is a
+// figure exits non-zero on any divergence, so the smoke run is a
 // correctness gate for the whole socket path, not just a throughput
 // printout.
 //
@@ -17,8 +17,8 @@
 // --durable-dir <dir> (adds one row per wal_sync_mode served out of the
 // WAL-backed cuckoo-sharded-durable store, plus a durability-stats
 // line; each row uses its own subdirectory of <dir> and cleans up).
-// CSV schema matches bench_fig17_redis (same phase columns), so the
-// in-process and served numbers diff directly.
+// CSV schema matches fig17 (same phase columns), so the in-process and
+// served numbers diff directly.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -31,23 +31,22 @@
 #include "baselines/store_factory.h"
 #include "bench_util.h"
 #include "persist/durable_store.h"
-#include "common/flags.h"
 #include "common/timer.h"
 #include "common/types.h"
 #include "core/config.h"
 #include "datasets/datasets.h"
 #include "core/sharded_cuckoo_graph.h"
+#include "figures.h"
 #include "redis_sim/command_table.h"
 #include "redis_sim/cuckoograph_module.h"
 #include "served_workload.h"
 #include "server/resp_client.h"
 #include "server/tcp_server.h"
 
-namespace cuckoograph {
+namespace cuckoograph::bench {
+
 namespace {
 
-using bench::MixedOp;
-using bench::OpKind;
 using redis_sim::RespType;
 using redis_sim::RespValue;
 using server::RespClient;
@@ -65,18 +64,6 @@ struct LoadConfig {
   double read_frac = 0.5;
 };
 
-const char* CommandFor(OpKind kind) {
-  switch (kind) {
-    case OpKind::kInsert:
-      return "CG.INSERT";
-    case OpKind::kQuery:
-      return "CG.QUERY";
-    case OpKind::kDelete:
-      return "CG.DEL";
-  }
-  return "CG.QUERY";  // unreachable
-}
-
 // Drives one connection through `ops`, `pipeline` requests in flight,
 // checking every reply against the oracle replay. Returns the number of
 // mismatched replies.
@@ -92,7 +79,7 @@ size_t DriveOps(RespClient* client, const std::vector<MixedOp>& ops,
       const MixedOp& op = ops[i + b];
       client->Pipeline({CommandFor(op.kind), std::to_string(op.e.u),
                         std::to_string(op.e.v)});
-      expected.push_back(bench::OracleReply(live, op.kind, op.e));
+      expected.push_back(OracleReply(live, op.kind, op.e));
     }
     const std::vector<RespValue> replies = client->Flush();
     for (size_t b = 0; b < replies.size(); ++b) {
@@ -193,12 +180,12 @@ RowResult RunRow(int connections, int workers, const LoadConfig& load,
   for (int c = 0; c < connections; ++c) {
     const NodeId base = 1 + static_cast<NodeId>(c) * kConnStride;
     const uint64_t seed = 4242 + static_cast<uint64_t>(c);
-    const std::vector<Edge> stream = bench::MakeZipfEdges(
+    const std::vector<Edge> stream = MakeZipfEdges(
         seed, n, base, kSourceRange, kValueRange, load.alpha);
     inserts.push_back(AsOps(stream, OpKind::kInsert));
     queries.push_back(AsOps(stream, OpKind::kQuery));
     deletes.push_back(AsOps(datasets::DedupEdges(stream), OpKind::kDelete));
-    mixes.push_back(bench::MakeZipfMix(seed ^ 0x5eed, n, base, kSourceRange,
+    mixes.push_back(MakeZipfMix(seed ^ 0x5eed, n, base, kSourceRange,
                                        kValueRange, load.alpha,
                                        load.read_frac));
   }
@@ -253,11 +240,8 @@ RowResult RunRow(int connections, int workers, const LoadConfig& load,
 }
 
 }  // namespace
-}  // namespace cuckoograph
 
-int main(int argc, char** argv) {
-  using namespace cuckoograph;
-  const Flags flags(argc, argv);
+int RunServed(const Figure& figure, const Flags& flags) {
   const double user_scale = flags.GetDouble("scale", 1.0);
   const int max_connections =
       static_cast<int>(flags.GetInt("connections", 8));
@@ -267,49 +251,39 @@ int main(int argc, char** argv) {
       static_cast<size_t>(std::max(1LL, flags.GetInt("pipeline", 16)));
   load.alpha = flags.GetDouble("alpha", 1.5);
   load.read_frac = flags.GetDouble("reads", 0.5);
-  bench::MaybeOpenCsvFromFlags(flags);
 
-  bench::PrintHeader(
-      "served",
-      "CuckooGraph served over TCP RESP (Mops, pipelined, oracle-checked)",
-      bench::ServedSchemaColumns());
+  if (max_connections < 1) {
+    std::fprintf(stderr, "served: --connections must be at least 1\n");
+    return 2;
+  }
 
+  PrintHeader(figure.id, figure.title, ServedSchemaColumns());
+  // Fixed total traffic per row: throughput comparisons across connection
+  // counts serve the same number of ops.
+  const size_t total_ops =
+      std::max<size_t>(4'000, static_cast<size_t>(400'000 * user_scale));
   bool ok = true;
+  const auto row = [&](int connections, int workers,
+                       const persist::DurableOptions* durable,
+                       const std::string& suffix) {
+    load.ops_per_conn =
+        std::max<size_t>(250, total_ops / static_cast<size_t>(connections));
+    const RowResult r = RunRow(connections, workers, load, durable);
+    PrintRow(figure.id,
+             {std::to_string(connections) + "c/" + std::to_string(workers) +
+                  "w/p" + std::to_string(load.pipeline) + suffix,
+              FmtMops(r.insert_mops), FmtMops(r.query_mops),
+              FmtMops(r.delete_mops), FmtMops(r.mixed_mops)});
+    if (!r.durable_note.empty()) std::puts(r.durable_note.c_str());
+    ok = ok && r.ok;
+  };
+
   std::vector<int> worker_counts;
   if (max_workers > 1) worker_counts.push_back(1);
   worker_counts.push_back(std::max(1, max_workers));
   for (const int workers : worker_counts) {
-    for (int connections = 1; connections <= max_connections;
-         connections *= 2) {
-      // Fixed total traffic per row: throughput comparisons across
-      // connection counts serve the same number of ops.
-      const size_t total_ops =
-          std::max<size_t>(4'000, static_cast<size_t>(400'000 * user_scale));
-      load.ops_per_conn =
-          std::max<size_t>(250, total_ops / static_cast<size_t>(connections));
-      const RowResult r = RunRow(connections, workers, load);
-      bench::PrintRow(
-          "served",
-          {std::to_string(connections) + "c/" + std::to_string(workers) +
-               "w/p" + std::to_string(load.pipeline),
-           bench::FmtMops(r.insert_mops), bench::FmtMops(r.query_mops),
-           bench::FmtMops(r.delete_mops), bench::FmtMops(r.mixed_mops)});
-      ok = ok && r.ok;
-      if (connections < max_connections && connections * 2 > max_connections) {
-        // Keep the ceiling in the sweep when it is not a power of two.
-        load.ops_per_conn = std::max<size_t>(
-            250, total_ops / static_cast<size_t>(max_connections));
-        const RowResult rl = RunRow(max_connections, workers, load);
-        bench::PrintRow(
-            "served",
-            {std::to_string(max_connections) + "c/" +
-                 std::to_string(workers) + "w/p" +
-                 std::to_string(load.pipeline),
-             bench::FmtMops(rl.insert_mops), bench::FmtMops(rl.query_mops),
-             bench::FmtMops(rl.delete_mops), bench::FmtMops(rl.mixed_mops)});
-        ok = ok && rl.ok;
-        break;
-      }
+    for (const int connections : PowersOfTwoUpTo(max_connections)) {
+      row(connections, workers, nullptr, "");
     }
   }
   // Durable rows: the same pipelined load served out of the WAL-backed
@@ -321,36 +295,24 @@ int main(int argc, char** argv) {
         {"wal:group", WalSyncMode::kGroup},
         {"wal:always", WalSyncMode::kAlways},
     };
-    const size_t total_ops =
-        std::max<size_t>(4'000, static_cast<size_t>(400'000 * user_scale));
-    load.ops_per_conn =
-        std::max<size_t>(250, total_ops / static_cast<size_t>(max_connections));
     for (const auto& m : kModes) {
       Config durable_config;
       durable_config.wal_sync_mode = m.mode;
       persist::DurableOptions opts = persist::MakeDurableOptions(
           durable_config, durable_dir + "/served-" + m.label);
       opts.owns_dir = true;  // each row starts empty and cleans up
-      const RowResult r =
-          RunRow(max_connections, std::max(1, max_workers), load, &opts);
-      bench::PrintRow(
-          "served",
-          {std::to_string(max_connections) + "c/" +
-               std::to_string(std::max(1, max_workers)) + "w/p" +
-               std::to_string(load.pipeline) + " " + m.label,
-           bench::FmtMops(r.insert_mops), bench::FmtMops(r.query_mops),
-           bench::FmtMops(r.delete_mops), bench::FmtMops(r.mixed_mops)});
-      if (!r.durable_note.empty()) std::puts(r.durable_note.c_str());
-      ok = ok && r.ok;
+      row(max_connections, std::max(1, max_workers), &opts,
+          std::string(" ") + m.label);
     }
   }
 
-  std::printf("(diff against bench_fig17_redis --csv: same columns, same "
-              "Zipf mix, minus the kernel socket)\n");
-  bench::CloseCsv();
+  std::printf("(diff against fig17's --csv: same columns, same Zipf mix, "
+              "minus the kernel socket)\n");
   if (!ok) {
     std::fprintf(stderr, "served-traffic: oracle check FAILED\n");
     return 1;
   }
   return 0;
 }
+
+}  // namespace cuckoograph::bench

@@ -1,8 +1,8 @@
-// Shared workload generation for the two Redis-protocol benches, so the
-// in-process bench_fig17_redis and the over-socket bench_served_traffic
-// emit the same CSV schema (Insertion / Query / Deletion / Mixed(zipf)
-// columns) and their numbers diff directly: same Zipf shapes, same
-// oracle-checked reply protocol, different transport.
+// Shared workload generation for the two Redis-protocol figures, so the
+// in-process fig17 and the over-socket served figure emit the same CSV
+// schema (Insertion / Query / Deletion / Mixed(zipf) columns) and their
+// numbers diff directly: same Zipf shapes, same oracle-checked reply
+// protocol, different transport.
 #ifndef CUCKOOGRAPH_BENCH_SERVED_WORKLOAD_H_
 #define CUCKOOGRAPH_BENCH_SERVED_WORKLOAD_H_
 
@@ -76,6 +76,19 @@ inline std::vector<MixedOp> MakeZipfMix(uint64_t seed, size_t n, NodeId base,
     ops.push_back(MixedOp{kind, e});
   }
   return ops;
+}
+
+// The CG.* command that performs `kind`.
+inline const char* CommandFor(OpKind kind) {
+  switch (kind) {
+    case OpKind::kInsert:
+      return "CG.INSERT";
+    case OpKind::kQuery:
+      return "CG.QUERY";
+    case OpKind::kDelete:
+      return "CG.DEL";
+  }
+  return "CG.QUERY";  // unreachable
 }
 
 // The single-threaded oracle: replays one op over the live-edge set and

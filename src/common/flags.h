@@ -1,6 +1,9 @@
-// Tiny argv parser used by every bench binary. Accepts "--name=value",
-// "--name value", and bare "--name" switches; typed getters fall back to
-// the caller's default when the flag is absent or unparsable.
+// Tiny argv parser used by the bench driver. Accepts "--name=value",
+// "--name value", and bare "--name" switches; typed getters return the
+// caller's default when the flag is absent. Validate() is the gate that
+// rejects anything else: an undeclared flag, a stray positional argument,
+// a flag without a value, or a value that does not parse as the flag's
+// declared type.
 #ifndef CUCKOOGRAPH_COMMON_FLAGS_H_
 #define CUCKOOGRAPH_COMMON_FLAGS_H_
 
@@ -8,15 +11,28 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace cuckoograph {
+
+enum class FlagType { kInt, kDouble, kString };
+
+// One accepted flag: its name (without "--") and the type its value
+// must parse as.
+struct FlagSpec {
+  const char* name;
+  FlagType type;
+};
 
 class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
+      if (std::strncmp(arg, "--", 2) != 0) {
+        positional_.emplace_back(arg);
+        continue;
+      }
       std::string body(arg + 2);
       const size_t eq = body.find('=');
       if (eq != std::string::npos) {
@@ -27,6 +43,33 @@ class Flags {
         values_[body] = "";
       }
     }
+  }
+
+  // Returns an empty string when every argument is a flag named in
+  // `accepted` with a value that parses as its declared type; otherwise a
+  // message naming the first offending argument.
+  std::string Validate(const std::vector<FlagSpec>& accepted) const {
+    if (!positional_.empty()) {
+      return "unexpected argument '" + positional_.front() + "'";
+    }
+    for (const auto& [name, value] : values_) {
+      const FlagSpec* spec = nullptr;
+      for (const FlagSpec& candidate : accepted) {
+        if (name == candidate.name) spec = &candidate;
+      }
+      if (spec == nullptr) return "unknown flag --" + name;
+      if (value.empty()) return "--" + name + " needs a value";
+      const bool parses =
+          spec->type == FlagType::kInt      ? ParseInt(value, nullptr)
+          : spec->type == FlagType::kDouble ? ParseDouble(value, nullptr)
+                                            : true;
+      if (!parses) {
+        return "--" + name + " needs " +
+               (spec->type == FlagType::kInt ? "an integer" : "a number") +
+               ", got '" + value + "'";
+      }
+    }
+    return "";
   }
 
   bool Has(const std::string& name) const {
@@ -41,22 +84,41 @@ class Flags {
 
   long long GetInt(const std::string& name, long long default_value) const {
     const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return default_value;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(it->second.c_str(), &end, 10);
-    return (end == nullptr || *end != '\0') ? default_value : parsed;
+    long long parsed = default_value;
+    if (it != values_.end()) ParseInt(it->second, &parsed);
+    return parsed;
   }
 
   double GetDouble(const std::string& name, double default_value) const {
     const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return default_value;
-    char* end = nullptr;
-    const double parsed = std::strtod(it->second.c_str(), &end);
-    return (end == nullptr || *end != '\0') ? default_value : parsed;
+    double parsed = default_value;
+    if (it != values_.end()) ParseDouble(it->second, &parsed);
+    return parsed;
   }
 
  private:
+  // Whole-string parses: "12x", "" and "abc" all fail. `out` is written
+  // only on success and may be null.
+  static bool ParseInt(const std::string& text, long long* out) {
+    if (text.empty()) return false;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (*end != '\0') return false;
+    if (out != nullptr) *out = parsed;
+    return true;
+  }
+
+  static bool ParseDouble(const std::string& text, double* out) {
+    if (text.empty()) return false;
+    char* end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (*end != '\0') return false;
+    if (out != nullptr) *out = parsed;
+    return true;
+  }
+
   std::map<std::string, std::string> values_;
+  std::vector<std::string> positional_;
 };
 
 }  // namespace cuckoograph

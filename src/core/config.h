@@ -1,5 +1,6 @@
 // Tuning knobs of the CuckooGraph structure (Section V-B of the paper) and
-// the ablation switches used by the Figure 5 / DESIGN.md benches.
+// the ablation switches used by Figure 5 and the ablation_inline /
+// ablation_rt figures of the bench driver.
 #ifndef CUCKOOGRAPH_CORE_CONFIG_H_
 #define CUCKOOGRAPH_CORE_CONFIG_H_
 
@@ -57,7 +58,7 @@ struct Config {
   int denylist_limit = 8;
 
   // Ablation: store up to 2R neighbours inline in the vertex cell before
-  // TRANSFORMATION allocates an S-CHT chain (DESIGN.md Part 2).
+  // TRANSFORMATION allocates an S-CHT chain.
   bool enable_inline_slots = true;
 
   // Ablation: shrink chains (and collapse them back to inline slots) as

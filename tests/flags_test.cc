@@ -1,4 +1,4 @@
-// Unit tests for the Flags argv parser used by every bench binary.
+// Unit tests for the Flags argv parser used by the bench driver.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -37,10 +37,30 @@ TEST(FlagsTest, MissingFlagsFallBackToDefaults) {
   EXPECT_TRUE(flags.Has("other"));
 }
 
-TEST(FlagsTest, UnparsableValuesFallBackToDefaults) {
-  const Flags flags = MakeFlags({"--scale=abc", "--n=12x"});
-  EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 3.0), 3.0);
-  EXPECT_EQ(flags.GetInt("n", 42), 42);
+const std::vector<FlagSpec> kAccepted = {{"scale", FlagType::kDouble},
+                                          {"n", FlagType::kInt},
+                                          {"csv", FlagType::kString}};
+
+TEST(FlagsTest, UnparsableValuesAreRejected) {
+  EXPECT_EQ(MakeFlags({"--scale=0.5", "--n", "-3", "--csv=out.csv"})
+                .Validate(kAccepted),
+            "");
+  EXPECT_EQ(MakeFlags({"--scale=abc"}).Validate(kAccepted),
+            "--scale needs a number, got 'abc'");
+  EXPECT_EQ(MakeFlags({"--n=12x"}).Validate(kAccepted),
+            "--n needs an integer, got '12x'");
+  EXPECT_EQ(MakeFlags({"--n=1.5"}).Validate(kAccepted),
+            "--n needs an integer, got '1.5'");
+  EXPECT_EQ(MakeFlags({"--scale"}).Validate(kAccepted),
+            "--scale needs a value");
+  EXPECT_EQ(MakeFlags({"--csv="}).Validate(kAccepted), "--csv needs a value");
+}
+
+TEST(FlagsTest, UnknownFlagsAndPositionalsAreRejected) {
+  EXPECT_EQ(MakeFlags({"--scael", "0.01"}).Validate(kAccepted),
+            "unknown flag --scael");
+  EXPECT_EQ(MakeFlags({"-scale", "0.01"}).Validate(kAccepted),
+            "unexpected argument '-scale'");
 }
 
 TEST(FlagsTest, NegativeAndBareFlags) {
