@@ -29,8 +29,10 @@ void PrintUsage() {
 const std::vector<Figure>& AllFigures() {
   constexpr FlagSpec kScale{"scale", FlagType::kDouble};
   constexpr FlagSpec kCsv{"csv", FlagType::kString};
-  constexpr FlagSpec kCheckpoints{"checkpoints", FlagType::kInt};
-  constexpr FlagSpec kThreads{"threads", FlagType::kInt};
+  // Integer flags carry the range the figure bodies can run with: each
+  // size becomes a size_t and each thread count starts that many threads.
+  constexpr FlagSpec kCheckpoints{"checkpoints", FlagType::kInt, 1, 1000};
+  constexpr FlagSpec kThreads{"threads", FlagType::kInt, 1, 256};
   constexpr FlagSpec kAlpha{"alpha", FlagType::kDouble};
   constexpr FlagSpec kReads{"reads", FlagType::kDouble};
   constexpr FlagSpec kDurableDir{"durable-dir", FlagType::kString};
@@ -45,11 +47,13 @@ const std::vector<Figure>& AllFigures() {
       {"theorem1", "avg insertions per item (paper: ~1.017 L, ~1.006 S)",
        "IV-A", {kScale}, smoke, RunTheorem1},
       {"theorem2", "amortized L-CHT insertion cost (bound: <=3N, E<=2.25N)",
-       "IV-A", {{"nodes", FlagType::kInt}}, {"--nodes", "100000"},
+       "IV-A", {{"nodes", FlagType::kInt, 1, 100'000'000}},
+       {"--nodes", "100000"},
        RunTheorem2},
       {"table2", "S-CHT transformation states", "IV", {}, {}, RunTable2},
       {"table3", "analytic complexity (paper Table III)", "V-D",
-       {{"max_edges", FlagType::kInt}, kCsv}, {"--max_edges", "40000"},
+       {{"max_edges", FlagType::kInt, 1, 100'000'000}, kCsv},
+       {"--max_edges", "40000"},
        RunTable3},
       {"table4", "Graph datasets (generated at bench scale)", "V-A",
        {kScale}, smoke, RunTable4},
@@ -88,14 +92,14 @@ const std::vector<Figure>& AllFigures() {
       {"ablation_rt", "reverse transformation: memory after deleting 90%",
        "-", {kScale}, smoke, RunAblationReverseTransform},
       {"scalability", "Thread sweep, aggregate Mops", "-",
-       {kScale, kCsv, kThreads, {"shards", FlagType::kInt}}, smoke,
+       {kScale, kCsv, kThreads, {"shards", FlagType::kInt, 1, 4096}}, smoke,
        RunScalability},
       {"served",
        "CuckooGraph served over TCP RESP (Mops, pipelined, oracle-checked)",
        "-",
-       {kScale, kCsv, {"connections", FlagType::kInt},
-        {"workers", FlagType::kInt}, {"pipeline", FlagType::kInt}, kAlpha,
-        kReads, kDurableDir},
+       {kScale, kCsv, {"connections", FlagType::kInt, 1, 256},
+        {"workers", FlagType::kInt, 1, 64},
+        {"pipeline", FlagType::kInt, 1, 4096}, kAlpha, kReads, kDurableDir},
        smoke, RunServed},
   };
   return *figures;

@@ -243,19 +243,14 @@ RowResult RunRow(int connections, int workers, const LoadConfig& load,
 
 int RunServed(const Figure& figure, const Flags& flags) {
   const double user_scale = flags.GetDouble("scale", 1.0);
+  // The registry bounds --connections, --workers and --pipeline.
   const int max_connections =
       static_cast<int>(flags.GetInt("connections", 8));
   const int max_workers = static_cast<int>(flags.GetInt("workers", 2));
   LoadConfig load;
-  load.pipeline =
-      static_cast<size_t>(std::max(1LL, flags.GetInt("pipeline", 16)));
+  load.pipeline = static_cast<size_t>(flags.GetInt("pipeline", 16));
   load.alpha = flags.GetDouble("alpha", 1.5);
   load.read_frac = flags.GetDouble("reads", 0.5);
-
-  if (max_connections < 1) {
-    std::fprintf(stderr, "served: --connections must be at least 1\n");
-    return 2;
-  }
 
   PrintHeader(figure.id, figure.title, ServedSchemaColumns());
   // Fixed total traffic per row: throughput comparisons across connection

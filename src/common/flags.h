@@ -2,11 +2,12 @@
 // "--name value", and bare "--name" switches; typed getters return the
 // caller's default when the flag is absent. Validate() is the gate that
 // rejects anything else: an undeclared flag, a stray positional argument,
-// a flag without a value, or a value that does not parse as the flag's
-// declared type.
+// a flag without a value, a value that does not parse as the flag's
+// declared type, or an integer outside the flag's declared range.
 #ifndef CUCKOOGRAPH_COMMON_FLAGS_H_
 #define CUCKOOGRAPH_COMMON_FLAGS_H_
 
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -17,11 +18,13 @@ namespace cuckoograph {
 
 enum class FlagType { kInt, kDouble, kString };
 
-// One accepted flag: its name (without "--") and the type its value
-// must parse as.
+// One accepted flag: its name (without "--"), the type its value must
+// parse as and, for an integer flag, the inclusive range it must lie in.
 struct FlagSpec {
   const char* name;
   FlagType type;
+  long long min = LLONG_MIN;
+  long long max = LLONG_MAX;
 };
 
 class Flags {
@@ -46,8 +49,8 @@ class Flags {
   }
 
   // Returns an empty string when every argument is a flag named in
-  // `accepted` with a value that parses as its declared type; otherwise a
-  // message naming the first offending argument.
+  // `accepted` with a value that parses as its declared type (and lies in
+  // its range); otherwise a message naming the first offending argument.
   std::string Validate(const std::vector<FlagSpec>& accepted) const {
     if (!positional_.empty()) {
       return "unexpected argument '" + positional_.front() + "'";
@@ -67,6 +70,12 @@ class Flags {
         return "--" + name + " needs " +
                (spec->type == FlagType::kInt ? "an integer" : "a number") +
                ", got '" + value + "'";
+      }
+      long long parsed = 0;
+      if (spec->type == FlagType::kInt && ParseInt(value, &parsed) &&
+          (parsed < spec->min || parsed > spec->max)) {
+        return "--" + name + " must be between " + std::to_string(spec->min) +
+               " and " + std::to_string(spec->max) + ", got '" + value + "'";
       }
     }
     return "";

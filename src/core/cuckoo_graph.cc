@@ -1,7 +1,6 @@
 #include "core/cuckoo_graph.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -16,41 +15,6 @@ static_assert(CuckooGraph::kInlineSlots <=
                   static_cast<int>(internal::kKeyLanes),
               "inline slots must fit the SIMD key-probe lane count");
 
-namespace internal {
-
-// A per-vertex S-CHT chain: up to R nested cuckoo tables (head first) plus
-// this table set's denylist. `size` counts every stored neighbour,
-// denylist included.
-//
-// The reader_* members are the chain's *mirror* for lock-free readers:
-// enumerating `tables` itself (a vector that grows and gets replaced) is
-// not crash-safe without the lock, so writers republish the table count
-// and each table's storage block into these atomics after every
-// structural change (PublishChainMirror), and the denylist count after
-// every denylist mutation. Mirror entries may be stale — they then point
-// at retired-but-not-yet-freed blocks (epoch limbo), and the reader's
-// sequence validation rejects whatever was read. A chain that outgrows
-// the mirror (only possible with a non-default max_chain_tables > 8)
-// stores kMirrorOverflow, telling readers to use their locked fallback.
-struct Chain {
-  static constexpr size_t kMirrorTables = 8;
-  static constexpr uint32_t kMirrorOverflow = UINT32_MAX;
-
-  std::vector<CuckooTable<CuckooGraph::Neighbor>> tables;
-  // Reserved to denylist_limit at construction, mutated in place only
-  // (stable data(); see the matching comment on l_denylist_).
-  std::vector<CuckooGraph::Neighbor> denylist;
-  size_t size = 0;
-
-  std::atomic<uint32_t> reader_num_tables{0};
-  std::atomic<uint32_t> reader_deny_count{0};
-  std::array<std::atomic<const CuckooTable<CuckooGraph::Neighbor>::Block*>,
-             kMirrorTables>
-      reader_tables{};
-};
-
-}  // namespace internal
-
 namespace {
 
 Config Normalize(Config config) {
@@ -61,7 +25,9 @@ Config Normalize(Config config) {
       std::min<int>(internal::kMaxProbeWidth,
                     std::max(1, config.cells_per_bucket));
   config.max_kicks = std::max(1, config.max_kicks);
-  config.max_chain_tables = std::max(1, config.max_chain_tables);
+  config.max_chain_tables =
+      std::min<int>(internal::kMaxChainTables,
+                    std::max(1, config.max_chain_tables));
   config.denylist_limit = std::max(0, config.denylist_limit);
   config.expand_threshold =
       std::min(0.95, std::max(0.1, config.expand_threshold));
@@ -70,36 +36,43 @@ Config Normalize(Config config) {
 
 }  // namespace
 
-CuckooGraph::CuckooGraph(const Config& config)
+template <typename Cell>
+BasicCuckooGraph<Cell>::BasicCuckooGraph(const Config& config)
     : config_(Normalize(config)),
       h1_(0x7feb352d),
       h2_(0x846ca68b),
       rng_(0x2545f4914f6cdd1dULL),
       l_(config_.l_initial_buckets, config_.cells_per_bucket) {
+  static_assert(kWeighted || sizeof(void*) != 8 || sizeof(VertexEntry) == 48,
+                "the unweighted L-CHT cell stays at 48 bytes");
   l_denylist_.reserve(static_cast<size_t>(config_.denylist_limit));
 }
 
-CuckooGraph::~CuckooGraph() {
+template <typename Cell>
+BasicCuckooGraph<Cell>::~BasicCuckooGraph() {
   l_.ForEach([](const VertexEntry& e) {
-    if (e.has_chain) delete e.chain;
+    if (e.has_chain) Chain::Delete(e.chain.block);
   });
   for (const VertexEntry& e : l_denylist_) {
-    if (e.has_chain) delete e.chain;
+    if (e.has_chain) Chain::Delete(e.chain.block);
   }
 }
 
 // ---- Public interface ------------------------------------------------------
 
-bool CuckooGraph::InsertEdge(NodeId u, NodeId v) {
-  return Upsert(u, v, 1, /*accumulate=*/false).second;
+template <typename Cell>
+bool BasicCuckooGraph<Cell>::InsertEdge(NodeId u, NodeId v) {
+  return Upsert(u, Cell{v}, nullptr);
 }
 
-bool CuckooGraph::QueryEdge(NodeId u, NodeId v) const {
+template <typename Cell>
+bool BasicCuckooGraph<Cell>::QueryEdge(NodeId u, NodeId v) const {
   const VertexEntry* e = FindVertex(u);
-  return e != nullptr && FindWeight(e, v) != nullptr;
+  return e != nullptr && Contains(*e, v);
 }
 
-bool CuckooGraph::DeleteEdge(NodeId u, NodeId v) {
+template <typename Cell>
+bool BasicCuckooGraph<Cell>::DeleteEdge(NodeId u, NodeId v) {
   VertexEntry* e = FindVertex(u);
   if (e == nullptr) return false;
   if (!e->has_chain) {
@@ -107,11 +80,10 @@ bool CuckooGraph::DeleteEdge(NodeId u, NodeId v) {
         internal::MatchKeyMask(e->inline_.v, e->degree, v);
     if (mask == 0) return false;
     const uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-    e->inline_.v[i] = e->inline_.v[e->degree - 1];
-    e->inline_.w[i] = e->inline_.w[e->degree - 1];
+    SetInlineCell(e, i, InlineCell(*e, e->degree - 1));
     --e->degree;
   } else {
-    if (!ChainErase(e->chain, v)) return false;
+    if (!e->chain.block->Erase(v, Hash(v))) return false;
     --e->degree;
   }
   --num_edges_;
@@ -126,51 +98,36 @@ bool CuckooGraph::DeleteEdge(NodeId u, NodeId v) {
   return true;
 }
 
-// Streams one vertex's adjacency: the inline slots, or the chain's tables
+// Streams one vertex's adjacency: the inline slots, or the chain's cells
 // (occupied cells, head table first) followed by the chain's denylist.
-class CuckooGraph::NeighborCursorImpl final : public NeighborCursor {
+template <typename Cell>
+class BasicCuckooGraph<Cell>::NeighborCursorImpl final
+    : public NeighborCursor {
  public:
   explicit NeighborCursorImpl(const VertexEntry* e) : e_(e) {}
 
   size_t Next(NodeId* out, size_t capacity) override {
+    if (e_->has_chain) {
+      return e_->chain.block->CopyKeys(&pos_, out, capacity);
+    }
     size_t written = 0;
-    if (!e_->has_chain) {
-      while (written < capacity && inline_i_ < e_->degree) {
-        out[written++] = e_->inline_.v[inline_i_++];
-      }
-      return written;
-    }
-    const internal::Chain& c = *e_->chain;
-    while (written < capacity && table_i_ < c.tables.size()) {
-      const auto& t = c.tables[table_i_];
-      while (written < capacity && slot_ < t.num_cells()) {
-        if (t.used(slot_)) out[written++] = t.cell(slot_).v;
-        ++slot_;
-      }
-      if (slot_ == t.num_cells()) {
-        ++table_i_;
-        slot_ = 0;
-      }
-    }
-    while (written < capacity && deny_i_ < c.denylist.size()) {
-      out[written++] = c.denylist[deny_i_++].v;
+    while (written < capacity && pos_ < e_->degree) {
+      out[written++] = e_->inline_.v[pos_++];
     }
     return written;
   }
 
  private:
   const VertexEntry* e_;
-  uint32_t inline_i_ = 0;
-  size_t table_i_ = 0;
-  size_t slot_ = 0;
-  size_t deny_i_ = 0;
+  size_t pos_ = 0;
 };
 
 // Streams every vertex key: the L-CHT's occupied cells, then the L-CHT
 // denylist.
-class CuckooGraph::NodeCursorImpl final : public NeighborCursor {
+template <typename Cell>
+class BasicCuckooGraph<Cell>::NodeCursorImpl final : public NeighborCursor {
  public:
-  explicit NodeCursorImpl(const CuckooGraph* g) : g_(g) {}
+  explicit NodeCursorImpl(const BasicCuckooGraph* g) : g_(g) {}
 
   size_t Next(NodeId* out, size_t capacity) override {
     size_t written = 0;
@@ -186,38 +143,44 @@ class CuckooGraph::NodeCursorImpl final : public NeighborCursor {
   }
 
  private:
-  const CuckooGraph* g_;
+  const BasicCuckooGraph* g_;
   size_t slot_ = 0;
   size_t deny_i_ = 0;
 };
 
-std::unique_ptr<NeighborCursor> CuckooGraph::Neighbors(NodeId u) const {
+template <typename Cell>
+std::unique_ptr<NeighborCursor> BasicCuckooGraph<Cell>::Neighbors(
+    NodeId u) const {
   const VertexEntry* e = FindVertex(u);
   if (e == nullptr) return std::make_unique<EmptyNeighborCursor>();
   return std::make_unique<NeighborCursorImpl>(e);
 }
 
-std::unique_ptr<NeighborCursor> CuckooGraph::Nodes() const {
+template <typename Cell>
+std::unique_ptr<NeighborCursor> BasicCuckooGraph<Cell>::Nodes() const {
   return std::make_unique<NodeCursorImpl>(this);
 }
 
-size_t CuckooGraph::NumNodes() const {
+template <typename Cell>
+size_t BasicCuckooGraph<Cell>::NumNodes() const {
   return l_.size() + l_denylist_.size();
 }
 
-size_t CuckooGraph::MemoryBytes() const {
+template <typename Cell>
+size_t BasicCuckooGraph<Cell>::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   bytes += l_.MemoryBytes();
   bytes += l_denylist_.capacity() * sizeof(VertexEntry);
-  const auto add_chain = [this, &bytes](const VertexEntry& e) {
-    if (e.has_chain) bytes += ChainMemory(*e.chain);
+  const auto add_chain = [&bytes](const VertexEntry& e) {
+    if (e.has_chain) bytes += e.chain.block->bytes();
   };
   l_.ForEach(add_chain);
   for (const VertexEntry& e : l_denylist_) add_chain(e);
   return bytes;
 }
 
-GraphStats CuckooGraph::stats() const {
+template <typename Cell>
+GraphStats BasicCuckooGraph<Cell>::stats() const {
   GraphStats st;
   st.l = l_stats_;
   st.s = s_stats_;
@@ -228,33 +191,51 @@ GraphStats CuckooGraph::stats() const {
   return st;
 }
 
-size_t CuckooGraph::OutDegree(NodeId u) const {
+template <typename Cell>
+size_t BasicCuckooGraph<Cell>::OutDegree(NodeId u) const {
   const VertexEntry* e = FindVertex(u);
   return e == nullptr ? 0 : e->degree;
 }
 
-std::vector<size_t> CuckooGraph::SChainLengths(NodeId u) const {
+template <typename Cell>
+std::vector<size_t> BasicCuckooGraph<Cell>::SChainLengths(NodeId u) const {
   std::vector<size_t> lengths;
   const VertexEntry* e = FindVertex(u);
   if (e == nullptr || !e->has_chain) return lengths;
-  for (const auto& t : e->chain->tables) lengths.push_back(t.num_buckets());
+  const internal::ChainShape& shape = e->chain.shape;
+  for (uint32_t t = 0; t < shape.num_tables; ++t) {
+    lengths.push_back(shape.num_buckets(t));
+  }
   return lengths;
 }
 
-uint64_t CuckooGraph::AddEdgeWeight(NodeId u, NodeId v, uint32_t delta) {
-  return Upsert(u, v, delta, /*accumulate=*/true).first;
+template <typename Cell>
+uint64_t BasicCuckooGraph<Cell>::AddEdgeWeight(NodeId u, NodeId v,
+                                               uint32_t delta) {
+  Cell cell{v};
+  if constexpr (kWeighted) cell.weight = delta;
+  uint64_t weight = 1;
+  Upsert(u, cell, &weight);
+  return weight;
 }
 
-uint64_t CuckooGraph::GetEdgeWeight(NodeId u, NodeId v) const {
+template <typename Cell>
+uint64_t BasicCuckooGraph<Cell>::GetEdgeWeight(NodeId u, NodeId v) const {
   const VertexEntry* e = FindVertex(u);
   if (e == nullptr) return 0;
-  const uint32_t* w = FindWeight(e, v);
-  return w == nullptr ? 0 : *w;
+  if constexpr (kWeighted) {
+    const uint32_t* w = FindWeight(*e, v);
+    return w == nullptr ? 0 : *w;
+  } else {
+    return Contains(*e, v) ? 1 : 0;
+  }
 }
 
 // ---- Vertex lookup and the L-CHT -------------------------------------------
 
-CuckooGraph::VertexEntry* CuckooGraph::FindVertex(NodeId u) {
+template <typename Cell>
+typename BasicCuckooGraph<Cell>::VertexEntry*
+BasicCuckooGraph<Cell>::FindVertex(NodeId u) {
   const size_t slot = l_.FindSlot(u, h1_, h2_);
   if (slot != internal::kNoSlot) return &l_.cell(slot);
   for (VertexEntry& e : l_denylist_) {
@@ -263,58 +244,98 @@ CuckooGraph::VertexEntry* CuckooGraph::FindVertex(NodeId u) {
   return nullptr;
 }
 
-const CuckooGraph::VertexEntry* CuckooGraph::FindVertex(NodeId u) const {
-  return const_cast<CuckooGraph*>(this)->FindVertex(u);
+template <typename Cell>
+const typename BasicCuckooGraph<Cell>::VertexEntry*
+BasicCuckooGraph<Cell>::FindVertex(NodeId u) const {
+  return const_cast<BasicCuckooGraph*>(this)->FindVertex(u);
 }
 
-uint32_t* CuckooGraph::FindWeight(VertexEntry* e, NodeId v) {
-  return const_cast<uint32_t*>(
-      static_cast<const CuckooGraph*>(this)->FindWeight(e, v));
+template <typename Cell>
+Cell BasicCuckooGraph<Cell>::InlineCell(const VertexEntry& e, uint32_t i) {
+  Cell cell{e.inline_.v[i]};
+  if constexpr (kWeighted) cell.weight = e.inline_.w[i];
+  return cell;
 }
 
-const uint32_t* CuckooGraph::FindWeight(const VertexEntry* e,
-                                        NodeId v) const {
-  if (!e->has_chain) {
-    const uint32_t mask =
-        internal::MatchKeyMask(e->inline_.v, e->degree, v);
-    if (mask == 0) return nullptr;
-    return &e->inline_.w[__builtin_ctz(mask)];
-  }
-  for (const auto& t : e->chain->tables) {
-    const size_t slot = t.FindSlot(v, h1_, h2_);
-    if (slot != internal::kNoSlot) return &t.cell(slot).weight;
-  }
-  for (const Neighbor& n : e->chain->denylist) {
-    if (n.v == v) return &n.weight;
-  }
-  return nullptr;
+template <typename Cell>
+void BasicCuckooGraph<Cell>::SetInlineCell(VertexEntry* e, uint32_t i,
+                                           const Cell& cell) {
+  e->inline_.v[i] = cell.v;
+  if constexpr (kWeighted) e->inline_.w[i] = cell.weight;
 }
 
-std::pair<uint64_t, bool> CuckooGraph::Upsert(NodeId u, NodeId v,
-                                              uint32_t delta,
-                                              bool accumulate) {
+template <typename Cell>
+bool BasicCuckooGraph<Cell>::Contains(const VertexEntry& e,
+                                      NodeId v) const {
+  if (!e.has_chain) {
+    return internal::MatchKeyMask(e.inline_.v, e.degree, v) != 0;
+  }
+  return Chain::Find(e.chain.block, e.chain.shape, v, Hash(v)) != nullptr;
+}
+
+template <typename Cell>
+uint32_t* BasicCuckooGraph<Cell>::FindWeight(const VertexEntry& e,
+                                             NodeId v) const {
+  if constexpr (kWeighted) {
+    if (!e.has_chain) {
+      const uint32_t mask = internal::MatchKeyMask(e.inline_.v, e.degree, v);
+      if (mask == 0) return nullptr;
+      return const_cast<uint32_t*>(&e.inline_.w[__builtin_ctz(mask)]);
+    }
+    Cell* cell = Chain::Find(e.chain.block, e.chain.shape, v, Hash(v));
+    return cell == nullptr ? nullptr : &cell->weight;
+  } else {
+    (void)e;
+    (void)v;
+    return nullptr;
+  }
+}
+
+template <typename Cell>
+bool BasicCuckooGraph<Cell>::Upsert(NodeId u, const Cell& cell,
+                                    uint64_t* weight) {
   VertexEntry* e = FindVertex(u);
   if (e != nullptr) {
-    uint32_t* w = FindWeight(e, v);
-    if (w != nullptr) {
-      if (accumulate) *w += delta;
-      return {*w, false};
+    if (!e->has_chain) {
+      const uint32_t mask =
+          internal::MatchKeyMask(e->inline_.v, e->degree, cell.v);
+      if (mask != 0) {
+        if constexpr (kWeighted) {
+          uint32_t& w = e->inline_.w[__builtin_ctz(mask)];
+          w += cell.weight;
+          if (weight != nullptr) *weight = w;
+        }
+        return false;
+      }
+      AppendNeighbor(e, cell);
+    } else {
+      // One hash computation serves the presence probe and the placement.
+      const internal::KeyHashes k = Hash(cell.v);
+      Cell* found = Chain::Find(e->chain.block, e->chain.shape, cell.v, k);
+      if (found != nullptr) {
+        if constexpr (kWeighted) {
+          found->weight += cell.weight;
+          if (weight != nullptr) *weight = found->weight;
+        }
+        return false;
+      }
+      ChainInsert(e, cell, k);
     }
-    AppendNeighbor(e, Neighbor{v, delta});
     ++e->degree;
     ++num_edges_;
-    return {delta, true};
+    if constexpr (kWeighted) {
+      if (weight != nullptr) *weight = cell.weight;
+    }
+    return true;
   }
   VertexEntry entry;
   entry.key = u;
   entry.degree = 1;
   if (config_.enable_inline_slots) {
-    entry.inline_.v[0] = v;
-    entry.inline_.w[0] = delta;
+    SetInlineCell(&entry, 0, cell);
   } else {
-    entry.has_chain = true;
-    entry.chain = NewChain();
-    ChainInsert(entry.chain, Neighbor{v, delta});
+    AttachChain(&entry, NewChain());
+    ChainInsert(&entry, cell, Hash(cell.v));
   }
   ++num_edges_;
   PlaceVertex(entry);
@@ -323,22 +344,25 @@ std::pair<uint64_t, bool> CuckooGraph::Upsert(NodeId u, NodeId v,
     ++l_stats_.expansions;
     RebuildL(l_.num_buckets() * 2);
   }
-  return {delta, true};
-}
-
-void CuckooGraph::AppendNeighbor(VertexEntry* e, Neighbor n) {
-  if (!e->has_chain) {
-    if (e->degree < static_cast<uint32_t>(kInlineSlots)) {
-      e->inline_.v[e->degree] = n.v;
-      e->inline_.w[e->degree] = n.weight;
-      return;
-    }
-    TransformToChain(e);
+  if constexpr (kWeighted) {
+    if (weight != nullptr) *weight = cell.weight;
   }
-  ChainInsert(e->chain, n);
+  return true;
 }
 
-void CuckooGraph::PlaceVertex(VertexEntry entry) {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::AppendNeighbor(VertexEntry* e,
+                                            const Cell& cell) {
+  if (e->degree < static_cast<uint32_t>(kInlineSlots)) {
+    SetInlineCell(e, e->degree, cell);
+    return;
+  }
+  TransformToChain(e);
+  ChainInsert(e, cell, Hash(cell.v));
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::PlaceVertex(VertexEntry entry) {
   ++l_stats_.insert_attempts;
   while (true) {
     if (l_.Place(&entry, h1_, h2_, config_.max_kicks, &rng_,
@@ -359,7 +383,8 @@ void CuckooGraph::PlaceVertex(VertexEntry entry) {
   }
 }
 
-void CuckooGraph::RebuildL(size_t new_buckets) {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::RebuildL(size_t new_buckets) {
   new_buckets = std::max(new_buckets, config_.l_initial_buckets);
   std::vector<VertexEntry> items;
   items.reserve(l_.size() + l_denylist_.size());
@@ -401,23 +426,25 @@ void CuckooGraph::RebuildL(size_t new_buckets) {
   }
 }
 
-void CuckooGraph::MaybeShrinkL() {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::MaybeShrinkL() {
   if (l_.num_buckets() <= config_.l_initial_buckets) return;
   const size_t stored = l_.size() + l_denylist_.size();
   if (stored * 4 < l_.num_cells()) RebuildL(l_.num_buckets() / 2);
 }
 
-void CuckooGraph::RemoveVertex(NodeId u) {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::RemoveVertex(NodeId u) {
   const size_t slot = l_.FindSlot(u, h1_, h2_);
   if (slot != internal::kNoSlot) {
     VertexEntry& e = l_.cell(slot);
-    if (e.has_chain) FreeChain(e.chain);
+    if (e.has_chain) FreeChain(e.chain.block);
     l_.Erase(slot);
     return;
   }
   for (size_t i = 0; i < l_denylist_.size(); ++i) {
     if (l_denylist_[i].key == u) {
-      if (l_denylist_[i].has_chain) FreeChain(l_denylist_[i].chain);
+      if (l_denylist_[i].has_chain) FreeChain(l_denylist_[i].chain.block);
       l_denylist_[i] = l_denylist_.back();
       l_denylist_.pop_back();
       reader_l_deny_count_.store(
@@ -430,109 +457,109 @@ void CuckooGraph::RemoveVertex(NodeId u) {
 
 // ---- S-CHT chains ----------------------------------------------------------
 
-internal::Chain* CuckooGraph::NewChain() {
-  auto* c = new internal::Chain();
-  c->tables.emplace_back(config_.s_initial_buckets,
-                         config_.cells_per_bucket);
-  c->denylist.reserve(static_cast<size_t>(config_.denylist_limit));
-  PublishChainMirror(c);
+template <typename Cell>
+typename BasicCuckooGraph<Cell>::Chain* BasicCuckooGraph<Cell>::NewChain() {
   ++num_chains_;
-  return c;
+  return Chain::New(ChainShapeFor(config_.s_initial_buckets, 1));
 }
 
-// A freed chain may still be probed by an optimistic reader that copied
-// the owning vertex entry before the writer detached it, so the whole
-// Chain (tables, blocks, denylist) rides the limbo list when a reclaimer
-// is wired up.
-void CuckooGraph::FreeChain(internal::Chain* c) {
-  --num_chains_;
-  if (reclaimer_ != nullptr) {
-    reclaimer_->Retire([c] { delete c; });
-  } else {
-    delete c;
-  }
+template <typename Cell>
+internal::ChainShape BasicCuckooGraph<Cell>::ChainShapeFor(
+    size_t head_buckets, uint32_t num_tables) const {
+  internal::ChainShape shape;
+  shape.head = static_cast<uint32_t>(head_buckets);
+  shape.num_tables = static_cast<uint16_t>(num_tables);
+  shape.d = static_cast<uint16_t>(config_.cells_per_bucket);
+  shape.deny_capacity = static_cast<uint32_t>(config_.denylist_limit);
+  return shape;
 }
 
-void CuckooGraph::TransformToChain(VertexEntry* e) {
-  Neighbor moved[kInlineSlots];
-  const uint32_t count = e->degree;
-  for (uint32_t i = 0; i < count; ++i) {
-    moved[i] = Neighbor{e->inline_.v[i], e->inline_.w[i]};
-  }
-  e->chain = NewChain();
+template <typename Cell>
+void BasicCuckooGraph<Cell>::AttachChain(VertexEntry* e, Chain* c) {
   e->has_chain = true;
+  e->chain = ChainRef{c, c->shape()};
+}
+
+// A superseded or dropped block may still be probed by an optimistic
+// reader that copied the owning vertex entry before the writer swapped
+// or detached it, so it rides the limbo list when a reclaimer is wired
+// up.
+template <typename Cell>
+void BasicCuckooGraph<Cell>::Retire(Chain* c) {
+  if (reclaimer_ != nullptr) {
+    reclaimer_->Retire([c] { Chain::Delete(c); });
+  } else {
+    Chain::Delete(c);
+  }
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::FreeChain(Chain* c) {
+  --num_chains_;
+  Retire(c);
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::ReplaceChain(VertexEntry* e, Chain* fresh) {
+  Chain* old = e->chain.block;
+  AttachChain(e, fresh);
+  Retire(old);
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::TransformToChain(VertexEntry* e) {
+  Cell moved[kInlineSlots];
+  const uint32_t count = e->degree;
+  for (uint32_t i = 0; i < count; ++i) moved[i] = InlineCell(*e, i);
+  AttachChain(e, NewChain());
   ++transformations_;
   // The in-memory structure is at its most fragile right here: the entry
   // already points at a chain that holds none of the moved neighbors. A
   // crash now must still recover cleanly from WAL + snapshot alone.
   CrashPoint("core:mid_transformation");
   for (uint32_t i = 0; i < count; ++i) {
-    ChainInsert(e->chain, moved[i]);
+    ChainInsert(e, moved[i], Hash(moved[i].v));
   }
 }
 
-void CuckooGraph::ChainInsert(internal::Chain* c, Neighbor n) {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::ChainInsert(VertexEntry* e, Cell cell,
+                                         internal::KeyHashes k) {
   ++s_stats_.insert_attempts;
   // Load-driven growth: keep the occupancy below G ahead of placement.
-  while (static_cast<double>(c->size + 1) >
-         config_.expand_threshold * static_cast<double>(ChainCells(*c))) {
-    GrowChain(c);
+  while (static_cast<double>(e->chain.block->size() + 1) >
+         config_.expand_threshold *
+             static_cast<double>(e->chain.block->num_cells())) {
+    GrowChain(e);
   }
   while (true) {
     // Newest table first: older tables run near capacity by design, the
     // freshly appended one has the headroom.
-    for (auto it = c->tables.rbegin(); it != c->tables.rend(); ++it) {
-      if (it->Place(&n, h1_, h2_, config_.max_kicks, &rng_,
-                    &s_stats_.kicks)) {
-        ++c->size;
+    Chain* c = e->chain.block;
+    for (uint32_t t = c->shape().num_tables; t-- > 0;) {
+      if (c->Place(t, &cell, k, h1_, h2_, config_.max_kicks, &rng_,
+                   &s_stats_.kicks)) {
         return;
       }
+      // A failed Place hands back a different homeless survivor.
+      k = Hash(cell.v);
     }
-    if (config_.enable_deny_list &&
-        c->denylist.size() < static_cast<size_t>(config_.denylist_limit)) {
-      c->denylist.push_back(n);
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
-      ++c->size;
+    if (config_.enable_deny_list && c->Park(cell)) {
       ++denylist_parks_;
       return;
     }
-    GrowChain(c);
+    GrowChain(e);
   }
 }
 
-bool CuckooGraph::ChainErase(internal::Chain* c, NodeId v) {
-  for (auto& t : c->tables) {
-    const size_t slot = t.FindSlot(v, h1_, h2_);
-    if (slot != internal::kNoSlot) {
-      t.Erase(slot);
-      --c->size;
-      return true;
-    }
-  }
-  for (size_t i = 0; i < c->denylist.size(); ++i) {
-    if (c->denylist[i].v == v) {
-      c->denylist[i] = c->denylist.back();
-      c->denylist.pop_back();
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
-      --c->size;
-      return true;
-    }
-  }
-  return false;
-}
-
-void CuckooGraph::GrowChain(internal::Chain* c) {
-  if (c->tables.size() <
-      static_cast<size_t>(config_.max_chain_tables)) {
+template <typename Cell>
+void BasicCuckooGraph<Cell>::GrowChain(VertexEntry* e) {
+  const Chain& c = *e->chain.block;
+  const uint32_t head = c.shape().head;
+  if (c.shape().num_tables <
+      static_cast<uint32_t>(config_.max_chain_tables)) {
     // Table II append step: a new table of half the head's length.
-    const size_t half =
-        std::max<size_t>(1, c->tables.front().num_buckets() / 2);
-    c->tables.emplace_back(half, config_.cells_per_bucket);
-    PublishChainMirror(c);
+    ReplaceChain(e, Chain::Append(c));
     ++s_stats_.expansions;
     return;
   }
@@ -540,116 +567,79 @@ void CuckooGraph::GrowChain(internal::Chain* c) {
   // new head, and a fresh empty half-size second table is created
   // (unless R = 1 caps the chain at a single table).
   ++s_stats_.merges;
-  RebuildChain(c, c->tables.front().num_buckets() * 2,
-               /*with_second=*/config_.max_chain_tables >= 2);
+  ReplaceChain(e, RebuildChain(c, size_t{head} * 2,
+                               /*with_second=*/config_.max_chain_tables >= 2));
 }
 
-void CuckooGraph::RebuildChain(internal::Chain* c, size_t head_buckets,
-                               bool with_second) {
+template <typename Cell>
+typename BasicCuckooGraph<Cell>::Chain* BasicCuckooGraph<Cell>::RebuildChain(
+    const Chain& c, size_t head_buckets, bool with_second) {
   head_buckets = std::max<size_t>(1, head_buckets);
-  std::vector<Neighbor> items;
-  items.reserve(c->size);
-  for (const auto& t : c->tables) {
-    t.ForEach([&items](const Neighbor& n) { items.push_back(n); });
-  }
-  for (const Neighbor& n : c->denylist) items.push_back(n);
+  std::vector<Cell> items;
+  items.reserve(c.size());
+  c.ForEach([&items](const Cell& cell) { items.push_back(cell); });
+  const auto deny_capacity =
+      config_.enable_deny_list ? static_cast<uint32_t>(config_.denylist_limit)
+                               : 0u;
   while (true) {
-    std::vector<internal::CuckooTable<Neighbor>> tables;
-    tables.emplace_back(head_buckets, config_.cells_per_bucket);
-    if (with_second) {
-      tables.emplace_back(std::max<size_t>(1, head_buckets / 2),
-                          config_.cells_per_bucket);
-    }
-    std::vector<Neighbor> deny;
+    Chain* fresh = Chain::New(ChainShapeFor(head_buckets, with_second ? 2 : 1));
     bool ok = true;
-    for (const Neighbor& orig : items) {
-      Neighbor moved = orig;
+    for (const Cell& orig : items) {
+      Cell moved = orig;
+      internal::KeyHashes k = Hash(moved.v);
       bool placed = false;
-      for (auto& t : tables) {
-        if (t.Place(&moved, h1_, h2_, config_.max_kicks, &rng_,
-                    &s_stats_.kicks)) {
-          placed = true;
-          break;
-        }
+      for (uint32_t t = 0; t < fresh->shape().num_tables && !placed; ++t) {
+        placed = fresh->Place(t, &moved, k, h1_, h2_, config_.max_kicks,
+                              &rng_, &s_stats_.kicks);
+        if (!placed) k = Hash(moved.v);
       }
       if (placed) continue;
-      if (config_.enable_deny_list &&
-          deny.size() < static_cast<size_t>(config_.denylist_limit)) {
-        deny.push_back(moved);
-      } else {
-        ok = false;
-        break;
+      if (fresh->deny_count() < deny_capacity && fresh->Park(moved)) {
+        continue;
       }
+      ok = false;
+      break;
     }
     if (ok) {
-      // Commit. Retire each old table's storage first so its block rides
-      // the limbo list (the mirror may still point at it until the
-      // refresh below); the vector replacement itself is then safe
-      // because readers only ever go through the mirror. The denylist is
-      // refreshed in place to keep data() stable.
-      for (auto& t : c->tables) t.RetireStorage(reclaimer_);
-      c->tables = std::move(tables);
-      c->denylist.assign(deny.begin(), deny.end());
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
-      PublishChainMirror(c);
       s_stats_.rehash_moves += items.size();
-      return;
+      return fresh;
     }
+    Chain::Delete(fresh);
     head_buckets *= 2;
   }
 }
 
-void CuckooGraph::MaybeReverseTransform(VertexEntry* e) {
-  internal::Chain* c = e->chain;
+template <typename Cell>
+void BasicCuckooGraph<Cell>::MaybeReverseTransform(VertexEntry* e) {
+  Chain* c = e->chain.block;
   if (config_.enable_inline_slots &&
       e->degree <= static_cast<uint32_t>(kInlineSlots)) {
-    Neighbor moved[kInlineSlots];
+    Cell moved[kInlineSlots];
     uint32_t count = 0;
-    for (const auto& t : c->tables) {
-      t.ForEach([&moved, &count](const Neighbor& n) { moved[count++] = n; });
-    }
-    for (const Neighbor& n : c->denylist) moved[count++] = n;
+    c->ForEach([&moved, &count](const Cell& cell) { moved[count++] = cell; });
     FreeChain(c);
     e->has_chain = false;
-    for (uint32_t i = 0; i < count; ++i) {
-      e->inline_.v[i] = moved[i].v;
-      e->inline_.w[i] = moved[i].weight;
-    }
+    for (uint32_t i = 0; i < count; ++i) SetInlineCell(e, i, moved[i]);
     ++reverse_transformations_;
     return;
   }
-  const size_t head = c->tables.front().num_buckets();
+  const size_t head = c->shape().head;
   if (head > config_.s_initial_buckets &&
-      static_cast<size_t>(e->degree) * 4 < ChainCells(*c)) {
-    RebuildChain(c, std::max(config_.s_initial_buckets, head / 2),
-                 /*with_second=*/false);
+      static_cast<size_t>(e->degree) * 4 < c->num_cells()) {
+    ReplaceChain(e, RebuildChain(*c,
+                                 std::max(config_.s_initial_buckets, head / 2),
+                                 /*with_second=*/false));
     ++reverse_transformations_;
   }
-}
-
-size_t CuckooGraph::ChainCells(const internal::Chain& c) const {
-  size_t cells = 0;
-  for (const auto& t : c.tables) cells += t.num_cells();
-  return cells;
-}
-
-size_t CuckooGraph::ChainMemory(const internal::Chain& c) const {
-  size_t bytes = sizeof(internal::Chain);
-  bytes += c.tables.capacity() *
-           sizeof(internal::CuckooTable<Neighbor>);
-  for (const auto& t : c.tables) bytes += t.MemoryBytes();
-  bytes += c.denylist.capacity() * sizeof(Neighbor);
-  return bytes;
 }
 
 // ---- Optimistic (lock-free) read path --------------------------------------
 //
 // Everything below runs WITHOUT the owning shard's lock, racing the
 // serialized writer. The discipline, in order:
-//   1. probe crash-safely (fixed bounds from pinned Blocks / the atomic
-//      mirror; no pointer copied out of racing storage is dereferenced),
+//   1. probe crash-safely (fixed bounds from pinned blocks and
+//      capacity-clamped counts; no pointer copied out of racing storage
+//      is dereferenced),
 //   2. validate the shard's sequence word (SeqValidator) — a pass proves
 //      no writer ran since the snapshot, so copied data is committed,
 //   3. only then trust the copy; re-validate after any further probing
@@ -659,23 +649,10 @@ size_t CuckooGraph::ChainMemory(const internal::Chain& c) const {
 // benign read-then-discard race on cell contents is the entire point;
 // see common/thread_annotations.h.
 
-void CuckooGraph::PublishChainMirror(internal::Chain* c) {
-  const size_t n = c->tables.size();
-  if (n > internal::Chain::kMirrorTables) {
-    c->reader_num_tables.store(internal::Chain::kMirrorOverflow,
-                               std::memory_order_release);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    c->reader_tables[i].store(c->tables[i].reader_block(),
-                              std::memory_order_release);
-  }
-  c->reader_num_tables.store(static_cast<uint32_t>(n),
-                             std::memory_order_release);
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::OptimisticFindVertex(NodeId u, VertexEntry* out) const {
+template <typename Cell>
+CUCKOOGRAPH_NO_SANITIZE_THREAD bool
+BasicCuckooGraph<Cell>::OptimisticFindVertex(NodeId u,
+                                             VertexEntry* out) const {
   const auto* block = l_.reader_block();
   if (block == nullptr) return false;
   const size_t slot =
@@ -700,43 +677,10 @@ bool CuckooGraph::OptimisticFindVertex(NodeId u, VertexEntry* out) const {
   return false;
 }
 
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::OptimisticChainFind(const internal::Chain* c, NodeId v,
-                                      bool* found,
-                                      uint32_t* weight) const {
-  const uint32_t n = c->reader_num_tables.load(std::memory_order_acquire);
-  if (n > internal::Chain::kMirrorTables) return false;  // mirror overflow
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto* block =
-        c->reader_tables[i].load(std::memory_order_acquire);
-    if (block == nullptr) return false;
-    const size_t slot =
-        internal::CuckooTable<Neighbor>::FindSlotIn(*block, v, h1_, h2_);
-    if (slot != internal::kNoSlot) {
-      *found = true;
-      *weight = block->cells[slot].weight;
-      return true;
-    }
-  }
-  const uint32_t count =
-      std::min(c->reader_deny_count.load(std::memory_order_acquire),
-               static_cast<uint32_t>(config_.denylist_limit));
-  const Neighbor* deny = c->denylist.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    if (deny[i].v == v) {
-      *found = true;
-      *weight = deny[i].weight;
-      return true;
-    }
-  }
-  *found = false;
-  return true;
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::TryQueryEdge(NodeId u, NodeId v,
-                               const internal::SeqValidator& sv,
-                               bool* present) const {
+template <typename Cell>
+CUCKOOGRAPH_NO_SANITIZE_THREAD bool BasicCuckooGraph<Cell>::TryQueryEdge(
+    NodeId u, NodeId v, const internal::SeqValidator& sv,
+    bool* present) const {
   VertexEntry entry;
   const bool vertex_found = OptimisticFindVertex(u, &entry);
   // Validate BEFORE trusting the copy: a pass proves `entry` (including
@@ -753,25 +697,28 @@ bool CuckooGraph::TryQueryEdge(NodeId u, NodeId v,
         internal::MatchKeyMask(entry.inline_.v, entry.degree, v) != 0;
     return true;
   }
-  // entry.chain is a committed pointer and the epoch pin keeps the chain
-  // alive, but its *contents* may be mutated after validation — so the
+  // entry.chain is a committed pointer and the epoch pin keeps its block
+  // alive (a writer that replaces it retires it through the reclaimer),
+  // but the block's *contents* may be mutated after validation — so the
   // chain probe's outcome needs a second validation.
-  bool found = false;
-  uint32_t weight = 0;
-  if (!OptimisticChainFind(entry.chain, v, &found, &weight)) return false;
+  const bool found =
+      Chain::Find(entry.chain.block, entry.chain.shape, v, Hash(v)) != nullptr;
   if (!sv.Valid()) return false;
   *present = found;
   return true;
 }
 
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::TryOutDegree(NodeId u, const internal::SeqValidator& sv,
-                               size_t* degree) const {
+template <typename Cell>
+CUCKOOGRAPH_NO_SANITIZE_THREAD bool BasicCuckooGraph<Cell>::TryOutDegree(
+    NodeId u, const internal::SeqValidator& sv, size_t* degree) const {
   VertexEntry entry;
   const bool vertex_found = OptimisticFindVertex(u, &entry);
   if (!sv.Valid()) return false;
   *degree = vertex_found ? entry.degree : 0;
   return true;
 }
+
+template class BasicCuckooGraph<internal::KeyCell>;
+template class BasicCuckooGraph<internal::WeightedCell>;
 
 }  // namespace cuckoograph

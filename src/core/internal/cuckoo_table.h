@@ -1,7 +1,8 @@
 // One fixed-geometry cuckoo hash table: `num_buckets` buckets of
 // `cells_per_bucket` cells, two hash choices per key, random-walk kick-out
-// insertion. Shared by the top-level L-CHT (items are vertex entries) and
-// the per-vertex S-CHT chain tables (items are neighbour records).
+// insertion. The top-level L-CHT is one (items are vertex entries); the
+// per-vertex S-CHT chains use the same algorithm over their own one-block
+// layout (chain_block.h), and share KeyFingerprint and BucketIndex below.
 //
 // Items must expose `NodeId CuckooKey() const`. Duplicate detection is the
 // caller's job (FindSlot before Place); the table itself treats items as
@@ -15,19 +16,19 @@
 // FindSlot / free-cell scans compare a whole bucket's fingerprints per
 // probe through simd_probe.h. Only cells whose fingerprint matches are
 // verified against the full key, so a probe costs one vector compare plus
-// (almost always) at most one key comparison.
+// (almost always) at most one key comparison. Both candidate buckets'
+// fingerprint runs are fetched together.
 //
 // Storage layout for optimistic readers: the cells and fingerprints live
 // behind a single heap-allocated, self-describing Block whose geometry is
 // immutable after construction — only cell *contents* mutate in place.
 // A table's Block pointer changes solely when a rebuild swaps in a fresh
-// table (AdoptFrom) or a chain replacement retires it (RetireStorage), so
-// a lock-free reader that acquires the pointer once (reader_block) always
-// sees a (geometry, arrays) pair that is consistent by construction, and
-// the replaced Block is handed to an epoch Reclaimer instead of being
-// freed under the reader (see internal/epoch.h). Torn cell contents are
-// the seqlock's problem: the reader validates its shard sequence before
-// trusting anything it copied out of a Block.
+// table (AdoptFrom), so a lock-free reader that acquires the pointer once
+// (reader_block) always sees a (geometry, arrays) pair that is consistent
+// by construction, and the replaced Block is handed to an epoch Reclaimer
+// instead of being freed under the reader (see internal/epoch.h). Torn
+// cell contents are the seqlock's problem: the reader validates its shard
+// sequence before trusting anything it copied out of a Block.
 #ifndef CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_TABLE_H_
 #define CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_TABLE_H_
 
@@ -56,6 +57,16 @@ CUCKOOGRAPH_ALWAYS_INLINE uint8_t KeyFingerprint(NodeId key) {
   x ^= x >> 15;
   const uint8_t f = static_cast<uint8_t>(x >> 24);
   return f == 0 ? 1 : f;
+}
+
+// Bucket `h % num_buckets`. The default geometries (Table II's halving and
+// doubling, the L-CHT's doubling) keep bucket counts at powers of two,
+// which take a mask; any other count takes a 32-bit divide, since the
+// hash is 32 bits wide.
+CUCKOOGRAPH_ALWAYS_INLINE size_t BucketIndex(uint32_t h, size_t num_buckets) {
+  if ((num_buckets & (num_buckets - 1)) == 0) return h & (num_buckets - 1);
+  if (num_buckets > UINT32_MAX) return h;
+  return h % static_cast<uint32_t>(num_buckets);
 }
 
 template <typename Item>
@@ -87,24 +98,6 @@ class CuckooTable {
   CuckooTable(const CuckooTable&) = delete;
   CuckooTable& operator=(const CuckooTable&) = delete;
 
-  CuckooTable(CuckooTable&& other) noexcept
-      : block_(other.block_.exchange(nullptr, std::memory_order_relaxed)),
-        size_(other.size_) {
-    other.size_ = 0;
-  }
-
-  CuckooTable& operator=(CuckooTable&& other) noexcept {
-    if (this != &other) {
-      delete block_.load(std::memory_order_relaxed);
-      block_.store(other.block_.exchange(nullptr,
-                                         std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-    return *this;
-  }
-
   size_t num_buckets() const { return b()->num_buckets; }
   size_t num_cells() const { return b()->num_cells(); }
   size_t size() const { return size_; }
@@ -118,8 +111,8 @@ class CuckooTable {
 
   // Acquire-pins the current storage block: pairs with the release in
   // AdoptFrom, so a reader that sees a fresh block also sees its fully
-  // constructed contents. May return null only for a moved-from /
-  // retired table (readers null-check and bail to their fallback).
+  // constructed contents. Null only after the storage was handed to a
+  // rebuild (readers null-check and bail to their fallback).
   const Block* reader_block() const {
     return block_.load(std::memory_order_acquire);
   }
@@ -134,10 +127,12 @@ class CuckooTable {
                            const BobHash& h1, const BobHash& h2) {
     const uint8_t fp = KeyFingerprint(key);
     const size_t b1 = BucketIn(block, h1, key);
-    size_t slot = MatchInBucket(block, b1, fp, key);
-    if (slot != kNoSlot) return slot;
     const size_t b2 = BucketIn(block, h2, key);
-    if (b2 == b1) return kNoSlot;
+    // Both fingerprint runs load together, so a key in its second bucket
+    // costs no extra serial miss.
+    __builtin_prefetch(block.fps.data() + b2);
+    size_t slot = MatchInBucket(block, b1, fp, key);
+    if (slot != kNoSlot || b2 == b1) return slot;
     return MatchInBucket(block, b2, fp, key);
   }
 
@@ -151,14 +146,6 @@ class CuckooTable {
         std::memory_order_release);
     size_ = fresh.size_;
     fresh.size_ = 0;
-    Dispose(old, reclaimer);
-  }
-
-  // Hands this table's block to the reclaimer and leaves the table
-  // empty (moved-from); used when a chain replaces its table list.
-  void RetireStorage(Reclaimer* reclaimer) {
-    Block* old = block_.exchange(nullptr, std::memory_order_relaxed);
-    size_ = 0;
     Dispose(old, reclaimer);
   }
 
@@ -222,8 +209,7 @@ class CuckooTable {
   CUCKOOGRAPH_ALWAYS_INLINE static size_t BucketIn(const Block& block,
                                                    const BobHash& h,
                                                    NodeId key) {
-    return (static_cast<size_t>(h(key)) % block.num_buckets) *
-           block.cells_per_bucket;
+    return BucketIndex(h(key), block.num_buckets) * block.cells_per_bucket;
   }
 
   // Fingerprint-probes bucket `b`, verifying candidates against the key.

@@ -9,13 +9,19 @@
 // *Scalar variants are always compiled so tests can cross-check the SIMD
 // masks and benches can measure the win.
 //
-// Overread contract: the SIMD paths load 16 bytes at a time, so byte
-// buffers handed to MatchByteMask must stay readable for kBytePadding
-// bytes past the probed range (CuckooTable pads its fingerprint array),
-// and key arrays handed to MatchKeyMask must hold kKeyLanes readable
-// entries regardless of `count` (CuckooGraph sizes its inline-slot arrays
-// at kKeyLanes). Bits past `count` are always masked off, so the padding
-// contents never influence a result.
+// Overread contract: the SIMD paths load 16 bytes at a time, so a byte
+// run of `count` bytes handed to MatchByteMask must stay readable up to
+// the next multiple of 16 bytes past its start. The L-CHT's CuckooTable
+// pads its fingerprint array by kBytePadding. An S-CHT chain bucket
+// (chain_block.h) stores its d fingerprint bytes directly before its d
+// cells, so the load runs on into the bucket's own cells; a bucket
+// shorter than the load (only d < 4) gets zeroed tail bytes at the end of
+// the chain block. Key arrays handed to MatchKeyMask must hold kKeyLanes
+// readable entries regardless of `count` (CuckooGraph sizes its
+// inline-slot arrays at kKeyLanes). Bits past `count` are always masked
+// off, so whatever the overread covers never influences a result. The
+// scalar backend reads exactly `count` entries; CI builds it with
+// CUCKOOGRAPH_DISABLE_SIMD so both layouts stay tested.
 #ifndef CUCKOOGRAPH_CORE_INTERNAL_SIMD_PROBE_H_
 #define CUCKOOGRAPH_CORE_INTERNAL_SIMD_PROBE_H_
 

@@ -91,9 +91,9 @@ bool ShardedCuckooGraph::DeleteEdge(NodeId u, NodeId v) {
 }
 
 uint64_t ShardedCuckooGraph::EdgeWeight(NodeId u, NodeId v) const {
-  // The per-shard CuckooGraph stores presence-weighted edges (weight 1
-  // through this interface), so the optimistic probe can reuse the
-  // presence result; the locked fallback resolves identically.
+  // The per-shard CuckooGraph stores keys only (a present edge weighs
+  // 1), so the optimistic probe can reuse the presence result; the
+  // locked fallback resolves identically.
   const Shard& shard = *shards_[ShardIndex(u)];
   if (optimistic_reads_) {
     bool present = false;

@@ -13,20 +13,18 @@
 
 namespace cuckoograph {
 
-class WeightedCuckooGraph : public CuckooGraph {
+// Cells carry a uint32_t weight next to the neighbour id; everything
+// else is the CuckooGraph core.
+class WeightedCuckooGraph : public BasicCuckooGraph<internal::WeightedCell> {
  public:
-  WeightedCuckooGraph();
-  explicit WeightedCuckooGraph(const Config& config);
+  WeightedCuckooGraph() : WeightedCuckooGraph(Config()) {}
+  explicit WeightedCuckooGraph(const Config& config)
+      : BasicCuckooGraph(config) {}
 
   // Factory scheme key and bench column header (the paper columns keep
   // their CamelCase names; the extended store is the odd one out so the
   // --schemes flag reads naturally).
   std::string_view name() const override { return "cuckoo-weighted"; }
-  StoreCapabilities Capabilities() const override {
-    StoreCapabilities caps = CuckooGraph::Capabilities();
-    caps.weighted = true;
-    return caps;
-  }
 
   // Every arrival accumulates: a duplicate InsertEdge still returns false
   // (the edge set is unchanged) but bumps the edge's weight, which is what
@@ -35,10 +33,12 @@ class WeightedCuckooGraph : public CuckooGraph {
 
   // Adds one arrival of <u, v>: inserts the edge with weight 1 if absent,
   // otherwise increments its weight. Returns the resulting weight.
-  uint64_t AddEdge(NodeId u, NodeId v);
+  uint64_t AddEdge(NodeId u, NodeId v) { return AddEdgeWeight(u, v, 1); }
 
   // Accumulated weight of <u, v>, or 0 if the edge is absent.
-  uint64_t QueryWeight(NodeId u, NodeId v) const;
+  uint64_t QueryWeight(NodeId u, NodeId v) const {
+    return GetEdgeWeight(u, v);
+  }
 
   // The snapshot layer's weighted-query hook.
   uint64_t EdgeWeight(NodeId u, NodeId v) const override {

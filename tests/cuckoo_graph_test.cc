@@ -1,15 +1,21 @@
 // Unit tests for the core CuckooGraph store: round-trips, TRANSFORMATION,
-// DENYLIST, reverse transformation, expansion from minimal size, and the
-// Theorem 1/2 stats counters.
+// DENYLIST, reverse transformation, expansion from minimal size, the
+// Theorem 1/2 stats counters, and a differential churn test of both cell
+// types against std:: models across the tuning space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/cuckoo_graph.h"
+#include "core/weighted_cuckoo_graph.h"
 
 namespace cuckoograph {
 namespace {
@@ -273,6 +279,178 @@ TEST(CuckooGraphTest, SelfLoopsAndExtremeIdsWork) {
   EXPECT_TRUE(graph.QueryEdge(max_id, 0));
   EXPECT_TRUE(graph.DeleteEdge(0, 0));
   EXPECT_FALSE(graph.QueryEdge(0, 0));
+}
+
+
+// ---- Differential churn ----------------------------------------------------
+//
+// Seeded random inserts, deletes, queries and Neighbors() reads against a
+// std::set model (a std::map of arrival counts for the weighted store),
+// over every combination of d, T, R, denylist_limit, inline slots and the
+// reverse transformation. Chains start at one bucket and two hub sources
+// take most of the traffic, so chains append, merge, park in the
+// denylist, shrink and collapse back to inline slots; the counters assert
+// that those paths ran. Ids include 0 and ~0u.
+
+std::vector<Config> ChurnConfigs() {
+  std::vector<Config> configs;
+  for (const int d : {1, 8, 32}) {
+    for (const int t : {1, 250}) {
+      for (const int r : {1, 3}) {
+        for (const int deny : {0, 8}) {
+          for (const bool inline_slots : {false, true}) {
+            for (const bool reverse : {false, true}) {
+              Config config;
+              config.l_initial_buckets = 1;
+              config.s_initial_buckets = 1;
+              config.cells_per_bucket = d;
+              config.max_kicks = t;
+              config.max_chain_tables = r;
+              config.denylist_limit = deny;
+              config.enable_inline_slots = inline_slots;
+              config.enable_reverse_transform = reverse;
+              configs.push_back(config);
+            }
+          }
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+std::string Describe(const Config& c) {
+  return "d=" + std::to_string(c.cells_per_bucket) +
+         " T=" + std::to_string(c.max_kicks) +
+         " R=" + std::to_string(c.max_chain_tables) +
+         " deny=" + std::to_string(c.denylist_limit) +
+         " inline=" + std::to_string(c.enable_inline_slots) +
+         " reverse=" + std::to_string(c.enable_reverse_transform);
+}
+
+// Distinct ids over the whole 32-bit range: index 0 is id 0, index 1 is
+// ~0u, the rest are spread by an odd multiplier (a bijection mod 2^32).
+NodeId ChurnId(uint64_t index) {
+  if (index == 0) return 0;
+  if (index == 1) return ~NodeId{0};
+  return static_cast<NodeId>(index * 2654435761u);
+}
+
+constexpr uint64_t kChurnSources = 8;
+constexpr uint64_t kChurnTargets = 600;
+
+// Two hubs (ids 0 and ~0u) draw half the traffic between them.
+NodeId PickSource(SplitMix64* rng) {
+  return ChurnId(rng->NextBelow(2) == 0 ? rng->NextBelow(2)
+                                        : rng->NextBelow(kChurnSources));
+}
+
+// The model: distinct edges with their arrival counts (1 per insert in
+// the unweighted store, where the count is not observable).
+using ChurnModel = std::map<std::pair<NodeId, NodeId>, uint64_t>;
+
+template <typename Store>
+void CheckAgainstModel(const Store& store, const ChurnModel& model) {
+  ASSERT_EQ(store.NumEdges(), model.size());
+  std::map<NodeId, std::vector<NodeId>> expected;
+  for (const auto& [edge, count] : model) {
+    expected[edge.first].push_back(edge.second);
+  }
+  ASSERT_EQ(store.NumNodes(), expected.size());
+  for (uint64_t i = 0; i < kChurnSources; ++i) {
+    const NodeId u = ChurnId(i);
+    std::vector<NodeId> seen;
+    store.ForEachNeighbor(u, [&seen](NodeId v) { seen.push_back(v); });
+    std::sort(seen.begin(), seen.end());
+    const auto it = expected.find(u);
+    const std::vector<NodeId> want =
+        it == expected.end() ? std::vector<NodeId>{} : it->second;
+    ASSERT_EQ(seen, want) << "u=" << u;
+    ASSERT_EQ(store.OutDegree(u), want.size()) << "u=" << u;
+  }
+}
+
+// Runs the churn on one store; *stats receives its final counters.
+template <typename Store>
+void RunChurn(const Config& config, uint64_t seed, GraphStats* stats) {
+  constexpr bool kWeighted = std::is_same_v<Store, WeightedCuckooGraph>;
+  Store store(config);
+  ChurnModel model;
+  SplitMix64 rng(seed);
+  // A growth phase then a deletion-heavy phase (percent of inserts and
+  // deletes; the rest are queries).
+  const int phases[2][2] = {{75, 15}, {15, 75}};
+  for (const auto& phase : phases) {
+    for (int op = 0; op < 3000; ++op) {
+      const NodeId u = PickSource(&rng);
+      const NodeId v = ChurnId(rng.NextBelow(kChurnTargets));
+      const auto roll = static_cast<int>(rng.NextBelow(100));
+      if (roll < phase[0]) {
+        const bool fresh = model.count({u, v}) == 0;
+        const uint64_t count = ++model[{u, v}];
+        if constexpr (kWeighted) {
+          ASSERT_EQ(store.AddEdge(u, v), count);
+        } else {
+          (void)count;
+          ASSERT_EQ(store.InsertEdge(u, v), fresh);
+        }
+      } else if (roll < phase[0] + phase[1]) {
+        ASSERT_EQ(store.DeleteEdge(u, v), model.erase({u, v}) == 1);
+      } else {
+        const auto it = model.find({u, v});
+        ASSERT_EQ(store.QueryEdge(u, v), it != model.end());
+        if constexpr (kWeighted) {
+          ASSERT_EQ(store.QueryWeight(u, v),
+                    it == model.end() ? 0 : it->second);
+        }
+      }
+      if (op % 500 == 499) CheckAgainstModel(store, model);
+    }
+  }
+  // Drain: delete every remaining edge, the hubs' last.
+  while (!model.empty()) {
+    const auto edge = model.begin()->first;
+    ASSERT_TRUE(store.DeleteEdge(edge.first, edge.second));
+    ASSERT_FALSE(store.QueryEdge(edge.first, edge.second));
+    model.erase(model.begin());
+  }
+  CheckAgainstModel(store, model);
+  *stats = store.stats();
+}
+
+template <typename Store>
+void RunChurnAcrossConfigs() {
+  GraphStats total;
+  uint64_t seed = 1;
+  for (const Config& config : ChurnConfigs()) {
+    SCOPED_TRACE(Describe(config));
+    GraphStats st;
+    RunChurn<Store>(config, seed++, &st);
+    if (testing::Test::HasFatalFailure()) return;
+    // Every config reaches the Table II merge and, with the reverse
+    // transformation on, shrinks or collapses chains under deletes.
+    EXPECT_GT(st.s.merges, 0u);
+    if (config.enable_reverse_transform) {
+      EXPECT_GT(st.reverse_transformations, 0u);
+    }
+    EXPECT_EQ(st.num_chains, 0u);  // the drain freed every chain
+    total.s.expansions += st.s.expansions;
+    total.s.merges += st.s.merges;
+    total.transformations += st.transformations;
+    total.reverse_transformations += st.reverse_transformations;
+    total.denylist_parks += st.denylist_parks;
+  }
+  EXPECT_GT(total.s.expansions, 0u);
+  EXPECT_GT(total.transformations, 0u);
+  EXPECT_GT(total.denylist_parks, 0u);
+}
+
+TEST(CuckooGraphTest, DifferentialChurnAcrossConfigs) {
+  RunChurnAcrossConfigs<CuckooGraph>();
+}
+
+TEST(CuckooGraphTest, WeightedDifferentialChurnAcrossConfigs) {
+  RunChurnAcrossConfigs<WeightedCuckooGraph>();
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // in tier-1; and checks that the driver rejects bad command lines.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "figures.h"
@@ -86,6 +88,48 @@ TEST(FigureDriverTest, RejectsUnparsableValuesAndStrayArguments) {
   EXPECT_EQ(RunCommand({"--figure", "fig12", "--threads", "2x"}), 2);
   EXPECT_EQ(RunCommand({"--figure", "fig12", "-scale", "0.01"}), 2);
   EXPECT_EQ(RunCommand({"--figure", "theorem2", "--nodes"}), 2);
+}
+
+// Out-of-range integers exit 2 before the figure body runs. The values
+// here are ones a body would survive if the gate ever let them through.
+TEST(FigureDriverTest, RejectsOutOfRangeIntegers) {
+  EXPECT_EQ(RunCommand({"--figure", "theorem2", "--nodes", "0"}), 2);
+  EXPECT_EQ(RunCommand({"--figure", "table3", "--max_edges", "0"}), 2);
+  EXPECT_EQ(RunCommand({"--figure", "served", "--connections", "0"}), 2);
+  EXPECT_EQ(RunCommand({"--figure", "fig2", "--checkpoints", "0"}), 2);
+}
+
+// A negative size would wrap to ~2^64 and an oversized count would start
+// that many threads, so these are checked against each figure's declared
+// flags by validation alone; no figure is started with them.
+TEST(FigureDriverTest, DeclaredRangesRejectWrappingSizesAndThreadFloods) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"nodes", "-1"},          {"max_edges", "-5"},
+      {"threads", "100000"},    {"threads", "0"},
+      {"connections", "10000"}, {"workers", "10000"},
+      {"shards", "1000000"},    {"pipeline", "-1"}};
+  for (const auto& [flag, value] : bad) {
+    size_t declared = 0;
+    for (const Figure& figure : AllFigures()) {
+      if (!Accepts(figure, flag)) continue;
+      ++declared;
+      std::string arg = "--" + flag + "=" + value;
+      char* argv[] = {const_cast<char*>("cuckoograph_bench"), arg.data()};
+      EXPECT_NE(Flags(2, argv).Validate(figure.flags), "")
+          << figure.id << " " << arg;
+    }
+    EXPECT_GT(declared, 0u) << flag;
+  }
+}
+
+TEST(FigureDriverTest, EveryIntegerFlagDeclaresARange) {
+  for (const Figure& figure : AllFigures()) {
+    for (const FlagSpec& spec : figure.flags) {
+      if (spec.type != FlagType::kInt) continue;
+      EXPECT_GT(spec.min, LLONG_MIN) << figure.id << " --" << spec.name;
+      EXPECT_LT(spec.max, LLONG_MAX) << figure.id << " --" << spec.name;
+    }
+  }
 }
 
 TEST(FigureDriverTest, RejectsAnUnknownOrMissingFigure) {

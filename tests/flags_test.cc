@@ -63,6 +63,24 @@ TEST(FlagsTest, UnknownFlagsAndPositionalsAreRejected) {
             "unexpected argument '-scale'");
 }
 
+TEST(FlagsTest, IntegersOutsideTheDeclaredRangeAreRejected) {
+  const std::vector<FlagSpec> accepted = {{"threads", FlagType::kInt, 1, 256},
+                                          {"n", FlagType::kInt}};
+  EXPECT_EQ(MakeFlags({"--threads=1"}).Validate(accepted), "");
+  EXPECT_EQ(MakeFlags({"--threads=256"}).Validate(accepted), "");
+  EXPECT_EQ(MakeFlags({"--threads=0"}).Validate(accepted),
+            "--threads must be between 1 and 256, got '0'");
+  EXPECT_EQ(MakeFlags({"--threads", "257"}).Validate(accepted),
+            "--threads must be between 1 and 256, got '257'");
+  EXPECT_EQ(MakeFlags({"--threads=-1"}).Validate(accepted),
+            "--threads must be between 1 and 256, got '-1'");
+  // strtoll saturates an overflowing value, which the range still catches.
+  EXPECT_NE(MakeFlags({"--threads=99999999999999999999"}).Validate(accepted),
+            "");
+  // Without a declared range every integer is accepted.
+  EXPECT_EQ(MakeFlags({"--n=-9223372036854775807"}).Validate(accepted), "");
+}
+
 TEST(FlagsTest, NegativeAndBareFlags) {
   const Flags flags = MakeFlags({"--delta", "-5", "--verbose"});
   EXPECT_EQ(flags.GetInt("delta", 0), -5);

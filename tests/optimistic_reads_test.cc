@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/span.h"
 #include "common/types.h"
 #include "core/config.h"
@@ -188,6 +189,82 @@ TEST(OptimisticReadsTest, ReadersRaceLTableRebuilds) {
 
   for (size_t p : probes) EXPECT_GT(p, 0u);
   EXPECT_EQ(graph.NumEdges(), static_cast<size_t>(kHubs));
+}
+
+// One hub grows through every Table II append and merge, then shrinks
+// back to inline slots through deletes, over and over; each step that
+// changes the chain's geometry swaps in a new chain block and retires
+// the old one. Readers probe the hub's present and absent neighbours
+// meanwhile. The writer publishes how far it got (a phase generation
+// plus a high-water mark), so a reader knows which answers are certain:
+// during growth every neighbour below the mark is present, during the
+// shrink every neighbour at or above the mark is absent. A reader keeps
+// an answer only if the generation did not move across its probe.
+TEST(OptimisticReadsTest, ReadersRaceHubChainBlockSwaps) {
+  ShardedCuckooGraph graph(StressConfig(/*optimistic=*/true));
+  constexpr NodeId kHub = 3;
+  constexpr NodeId kPinned[2] = {1u << 24, (1u << 24) + 1};
+  constexpr NodeId kFan = 1500;
+  const auto churn = [](NodeId i) { return NodeId{10} + i; };
+  for (const NodeId v : kPinned) ASSERT_TRUE(graph.InsertEdge(kHub, v));
+
+  // Even generation: growth (churn(i) present for i < mark); odd:
+  // shrink (churn(i) absent for i >= mark). It starts as an empty shrink.
+  std::atomic<uint64_t> generation{1};
+  std::atomic<NodeId> mark{0};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> checked{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      SplitMix64 rng(static_cast<uint64_t>(t) + 1);
+      started.fetch_add(1);
+      do {
+        for (const NodeId v : kPinned) EXPECT_TRUE(graph.QueryEdge(kHub, v));
+        EXPECT_FALSE(graph.QueryEdge(kHub, kPinned[1] + 1));
+        const uint64_t g1 = generation.load();
+        const NodeId m = mark.load();
+        const bool growing = (g1 & 1) == 0;
+        NodeId i = 0;
+        if (growing && m > 0) {
+          i = rng.NextBelow(m);
+        } else if (!growing && m < kFan) {
+          i = m + rng.NextBelow(kFan - m);
+        } else {
+          continue;
+        }
+        const bool present = graph.QueryEdge(kHub, churn(i));
+        if (generation.load() != g1) continue;
+        EXPECT_EQ(present, growing) << "i=" << i << " mark=" << m;
+        checked.fetch_add(1);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  for (int round = 0; round < 40; ++round) {
+    mark.store(0);
+    generation.fetch_add(1);  // even: growth
+    for (NodeId i = 0; i < kFan; ++i) {
+      ASSERT_TRUE(graph.InsertEdge(kHub, churn(i)));
+      mark.store(i + 1);
+    }
+    generation.fetch_add(1);  // odd: shrink, churn(i) absent for i >= mark
+    for (NodeId i = kFan; i-- > 0;) {
+      ASSERT_TRUE(graph.DeleteEdge(kHub, churn(i)));
+      mark.store(i);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(graph.OutDegree(kHub), 2u);
+  const GraphStats st = graph.stats();
+  EXPECT_GT(st.s.expansions, 0u);            // appends
+  EXPECT_GT(st.s.merges, 0u);                // merge-and-double
+  EXPECT_GT(st.reverse_transformations, 0u); // shrinks and the collapse
+  EXPECT_EQ(st.num_chains, 0u);              // back on inline slots
 }
 
 // With no concurrent writer, every optimistic probe validates on the
