@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/crash_point.h"
@@ -17,9 +17,14 @@ static_assert(CuckooGraph::kInlineSlots <=
 
 namespace {
 
+// A bucket count must fit a block shape's uint32_t head.
+size_t ClampBuckets(size_t buckets) {
+  return std::min<size_t>(UINT32_MAX, std::max<size_t>(1, buckets));
+}
+
 Config Normalize(Config config) {
-  config.l_initial_buckets = std::max<size_t>(1, config.l_initial_buckets);
-  config.s_initial_buckets = std::max<size_t>(1, config.s_initial_buckets);
+  config.l_initial_buckets = ClampBuckets(config.l_initial_buckets);
+  config.s_initial_buckets = ClampBuckets(config.s_initial_buckets);
   // One probe mask covers a whole bucket, so d is capped at the mask width.
   config.cells_per_bucket =
       std::min<int>(internal::kMaxProbeWidth,
@@ -42,20 +47,18 @@ BasicCuckooGraph<Cell>::BasicCuckooGraph(const Config& config)
       h1_(0x7feb352d),
       h2_(0x846ca68b),
       rng_(0x2545f4914f6cdd1dULL),
-      l_(config_.l_initial_buckets, config_.cells_per_bucket) {
+      l_(LTable::New(ShapeFor(config_.l_initial_buckets, 1))) {
   static_assert(kWeighted || sizeof(void*) != 8 || sizeof(VertexEntry) == 48,
                 "the unweighted L-CHT cell stays at 48 bytes");
-  l_denylist_.reserve(static_cast<size_t>(config_.denylist_limit));
 }
 
 template <typename Cell>
 BasicCuckooGraph<Cell>::~BasicCuckooGraph() {
-  l_.ForEach([](const VertexEntry& e) {
+  LTable* l = l_table();
+  l->ForEach([](const VertexEntry& e) {
     if (e.has_chain) Chain::Delete(e.chain.block);
   });
-  for (const VertexEntry& e : l_denylist_) {
-    if (e.has_chain) Chain::Delete(e.chain.block);
-  }
+  LTable::Delete(l);
 }
 
 // ---- Public interface ------------------------------------------------------
@@ -88,7 +91,7 @@ bool BasicCuckooGraph<Cell>::DeleteEdge(NodeId u, NodeId v) {
   }
   --num_edges_;
   if (e->degree == 0) {
-    RemoveVertex(u);
+    RemoveVertex(e);
     if (config_.enable_reverse_transform) MaybeShrinkL();
     return true;
   }
@@ -122,7 +125,7 @@ class BasicCuckooGraph<Cell>::NeighborCursorImpl final
   size_t pos_ = 0;
 };
 
-// Streams every vertex key: the L-CHT's occupied cells, then the L-CHT
+// Streams every vertex id: the L-CHT's occupied cells, then its
 // denylist.
 template <typename Cell>
 class BasicCuckooGraph<Cell>::NodeCursorImpl final : public NeighborCursor {
@@ -130,22 +133,12 @@ class BasicCuckooGraph<Cell>::NodeCursorImpl final : public NeighborCursor {
   explicit NodeCursorImpl(const BasicCuckooGraph* g) : g_(g) {}
 
   size_t Next(NodeId* out, size_t capacity) override {
-    size_t written = 0;
-    const auto& l = g_->l_;
-    while (written < capacity && slot_ < l.num_cells()) {
-      if (l.used(slot_)) out[written++] = l.cell(slot_).key;
-      ++slot_;
-    }
-    while (written < capacity && deny_i_ < g_->l_denylist_.size()) {
-      out[written++] = g_->l_denylist_[deny_i_++].key;
-    }
-    return written;
+    return g_->l_table()->CopyKeys(&pos_, out, capacity);
   }
 
  private:
   const BasicCuckooGraph* g_;
-  size_t slot_ = 0;
-  size_t deny_i_ = 0;
+  size_t pos_ = 0;
 };
 
 template <typename Cell>
@@ -163,19 +156,16 @@ std::unique_ptr<NeighborCursor> BasicCuckooGraph<Cell>::Nodes() const {
 
 template <typename Cell>
 size_t BasicCuckooGraph<Cell>::NumNodes() const {
-  return l_.size() + l_denylist_.size();
+  return l_table()->size();
 }
 
 template <typename Cell>
 size_t BasicCuckooGraph<Cell>::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += l_.MemoryBytes();
-  bytes += l_denylist_.capacity() * sizeof(VertexEntry);
-  const auto add_chain = [&bytes](const VertexEntry& e) {
+  const LTable* l = l_table();
+  size_t bytes = sizeof(*this) + l->bytes();
+  l->ForEach([&bytes](const VertexEntry& e) {
     if (e.has_chain) bytes += e.chain.block->bytes();
-  };
-  l_.ForEach(add_chain);
-  for (const VertexEntry& e : l_denylist_) add_chain(e);
+  });
   return bytes;
 }
 
@@ -202,7 +192,7 @@ std::vector<size_t> BasicCuckooGraph<Cell>::SChainLengths(NodeId u) const {
   std::vector<size_t> lengths;
   const VertexEntry* e = FindVertex(u);
   if (e == nullptr || !e->has_chain) return lengths;
-  const internal::ChainShape& shape = e->chain.shape;
+  const internal::BlockShape& shape = e->chain.shape;
   for (uint32_t t = 0; t < shape.num_tables; ++t) {
     lengths.push_back(shape.num_buckets(t));
   }
@@ -236,12 +226,8 @@ uint64_t BasicCuckooGraph<Cell>::GetEdgeWeight(NodeId u, NodeId v) const {
 template <typename Cell>
 typename BasicCuckooGraph<Cell>::VertexEntry*
 BasicCuckooGraph<Cell>::FindVertex(NodeId u) {
-  const size_t slot = l_.FindSlot(u, h1_, h2_);
-  if (slot != internal::kNoSlot) return &l_.cell(slot);
-  for (VertexEntry& e : l_denylist_) {
-    if (e.key == u) return &e;
-  }
-  return nullptr;
+  LTable* l = l_table();
+  return LTable::Find(l, l->shape(), u, Hash(u));
 }
 
 template <typename Cell>
@@ -329,7 +315,7 @@ bool BasicCuckooGraph<Cell>::Upsert(NodeId u, const Cell& cell,
     return true;
   }
   VertexEntry entry;
-  entry.key = u;
+  entry.v = u;
   entry.degree = 1;
   if (config_.enable_inline_slots) {
     SetInlineCell(&entry, 0, cell);
@@ -339,10 +325,11 @@ bool BasicCuckooGraph<Cell>::Upsert(NodeId u, const Cell& cell,
   }
   ++num_edges_;
   PlaceVertex(entry);
-  if (static_cast<double>(l_.size() + l_denylist_.size()) >
-      config_.expand_threshold * static_cast<double>(l_.num_cells())) {
+  const LTable* l = l_table();
+  if (static_cast<double>(l->size()) >
+      config_.expand_threshold * static_cast<double>(l->num_cells())) {
     ++l_stats_.expansions;
-    RebuildL(l_.num_buckets() * 2);
+    RebuildL(size_t{l->shape().head} * 2);
   }
   if constexpr (kWeighted) {
     if (weight != nullptr) *weight = cell.weight;
@@ -365,93 +352,118 @@ template <typename Cell>
 void BasicCuckooGraph<Cell>::PlaceVertex(VertexEntry entry) {
   ++l_stats_.insert_attempts;
   while (true) {
-    if (l_.Place(&entry, h1_, h2_, config_.max_kicks, &rng_,
-                 &l_stats_.kicks)) {
-      return;
-    }
-    if (config_.enable_deny_list &&
-        l_denylist_.size() < static_cast<size_t>(config_.denylist_limit)) {
-      l_denylist_.push_back(entry);
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
-      ++denylist_parks_;
-      return;
-    }
+    LTable* l = l_table();
+    if (PlaceOrPark(l, &entry, Hash(entry.v), &l_stats_)) return;
     ++l_stats_.expansions;
-    RebuildL(l_.num_buckets() * 2);
+    RebuildL(size_t{l->shape().head} * 2);
   }
 }
 
 template <typename Cell>
 void BasicCuckooGraph<Cell>::RebuildL(size_t new_buckets) {
-  new_buckets = std::max(new_buckets, config_.l_initial_buckets);
-  std::vector<VertexEntry> items;
-  items.reserve(l_.size() + l_denylist_.size());
-  l_.ForEach([&items](const VertexEntry& e) { items.push_back(e); });
-  for (const VertexEntry& e : l_denylist_) items.push_back(e);
+  LTable* old = l_table();
+  const size_t head = std::max(new_buckets, config_.l_initial_buckets);
+  l_.store(Refill(*old, ShapeFor(head, 1), &l_stats_),
+           std::memory_order_release);
+  Retire(old);
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::MaybeShrinkL() {
+  const LTable* l = l_table();
+  const uint32_t head = l->shape().head;
+  if (head <= config_.l_initial_buckets) return;
+  if (l->size() * 4 < l->num_cells()) RebuildL(head / 2);
+}
+
+template <typename Cell>
+void BasicCuckooGraph<Cell>::RemoveVertex(VertexEntry* e) {
+  Chain* chain = e->has_chain ? e->chain.block : nullptr;
+  const NodeId u = e->v;
+  l_table()->Erase(u, Hash(u));
+  if (chain != nullptr) FreeChain(chain);
+}
+
+// ---- Blocks ----------------------------------------------------------------
+
+template <typename Cell>
+internal::BlockShape BasicCuckooGraph<Cell>::ShapeFor(
+    size_t head_buckets, uint32_t num_tables) const {
+  internal::BlockShape shape;
+  shape.head = static_cast<uint32_t>(head_buckets);
+  shape.num_tables = static_cast<uint16_t>(num_tables);
+  shape.d = static_cast<uint16_t>(config_.cells_per_bucket);
+  shape.deny_capacity =
+      config_.enable_deny_list ? static_cast<uint32_t>(config_.denylist_limit)
+                               : 0;
+  return shape;
+}
+
+template <typename Cell>
+template <typename T>
+bool BasicCuckooGraph<Cell>::PlaceOrPark(internal::CuckooBlock<T>* b,
+                                         T* item, internal::KeyHashes k,
+                                         TableStats* stats) {
+  // Newest table first: older tables run near capacity by design, the
+  // freshly appended one has the headroom.
+  for (uint32_t t = b->shape().num_tables; t-- > 0;) {
+    if (b->Place(t, item, k, h1_, h2_, config_.max_kicks, &rng_,
+                 &stats->kicks)) {
+      return true;
+    }
+    // A failed Place hands back a different homeless survivor.
+    k = Hash(item->v);
+  }
+  if (!b->Park(*item)) return false;
+  ++denylist_parks_;
+  return true;
+}
+
+template <typename Cell>
+template <typename T>
+internal::CuckooBlock<T>* BasicCuckooGraph<Cell>::Refill(
+    const internal::CuckooBlock<T>& old, internal::BlockShape shape,
+    TableStats* stats) {
+  std::vector<T> items;
+  items.reserve(old.size());
+  old.ForEach([&items](const T& item) { items.push_back(item); });
+  shape.head = std::max<uint32_t>(1, shape.head);
   while (true) {
-    internal::CuckooTable<VertexEntry> fresh(new_buckets,
-                                             config_.cells_per_bucket);
-    std::vector<VertexEntry> deny;
+    auto* fresh = internal::CuckooBlock<T>::New(shape);
     bool ok = true;
-    for (const VertexEntry& orig : items) {
-      VertexEntry moved = orig;
-      if (fresh.Place(&moved, h1_, h2_, config_.max_kicks, &rng_,
-                      &l_stats_.kicks)) {
-        continue;
+    for (const T& orig : items) {
+      T moved = orig;
+      internal::KeyHashes k = Hash(moved.v);
+      bool placed = false;
+      for (uint32_t t = 0; t < shape.num_tables && !placed; ++t) {
+        placed = fresh->Place(t, &moved, k, h1_, h2_, config_.max_kicks,
+                              &rng_, &stats->kicks);
+        if (!placed) k = Hash(moved.v);
       }
-      if (config_.enable_deny_list &&
-          deny.size() < static_cast<size_t>(config_.denylist_limit)) {
-        deny.push_back(moved);
-      } else {
+      if (!placed && !fresh->Park(moved)) {
         ok = false;
         break;
       }
     }
     if (ok) {
-      // Commit: swap the bucket block in (retiring the old one for any
-      // in-flight optimistic reader) and refresh the denylist in place —
-      // assign() stays within the reserved capacity, so data() never
-      // moves under a reader.
-      l_.AdoptFrom(std::move(fresh), reclaimer_);
-      l_denylist_.assign(deny.begin(), deny.end());
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
-      l_stats_.rehash_moves += items.size();
-      return;
+      stats->rehash_moves += items.size();
+      return fresh;
     }
-    new_buckets *= 2;
+    internal::CuckooBlock<T>::Delete(fresh);
+    shape.head *= 2;
   }
 }
 
+// A superseded or dropped block may still be probed by an optimistic
+// reader that copied the owning pointer before the writer swapped or
+// detached it, so it rides the limbo list when a reclaimer is wired up.
 template <typename Cell>
-void BasicCuckooGraph<Cell>::MaybeShrinkL() {
-  if (l_.num_buckets() <= config_.l_initial_buckets) return;
-  const size_t stored = l_.size() + l_denylist_.size();
-  if (stored * 4 < l_.num_cells()) RebuildL(l_.num_buckets() / 2);
-}
-
-template <typename Cell>
-void BasicCuckooGraph<Cell>::RemoveVertex(NodeId u) {
-  const size_t slot = l_.FindSlot(u, h1_, h2_);
-  if (slot != internal::kNoSlot) {
-    VertexEntry& e = l_.cell(slot);
-    if (e.has_chain) FreeChain(e.chain.block);
-    l_.Erase(slot);
-    return;
-  }
-  for (size_t i = 0; i < l_denylist_.size(); ++i) {
-    if (l_denylist_[i].key == u) {
-      if (l_denylist_[i].has_chain) FreeChain(l_denylist_[i].chain.block);
-      l_denylist_[i] = l_denylist_.back();
-      l_denylist_.pop_back();
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
-      return;
-    }
+template <typename T>
+void BasicCuckooGraph<Cell>::Retire(internal::CuckooBlock<T>* b) {
+  if (reclaimer_ != nullptr) {
+    reclaimer_->Retire(b);
+  } else {
+    internal::CuckooBlock<T>::Delete(b);
   }
 }
 
@@ -460,37 +472,13 @@ void BasicCuckooGraph<Cell>::RemoveVertex(NodeId u) {
 template <typename Cell>
 typename BasicCuckooGraph<Cell>::Chain* BasicCuckooGraph<Cell>::NewChain() {
   ++num_chains_;
-  return Chain::New(ChainShapeFor(config_.s_initial_buckets, 1));
-}
-
-template <typename Cell>
-internal::ChainShape BasicCuckooGraph<Cell>::ChainShapeFor(
-    size_t head_buckets, uint32_t num_tables) const {
-  internal::ChainShape shape;
-  shape.head = static_cast<uint32_t>(head_buckets);
-  shape.num_tables = static_cast<uint16_t>(num_tables);
-  shape.d = static_cast<uint16_t>(config_.cells_per_bucket);
-  shape.deny_capacity = static_cast<uint32_t>(config_.denylist_limit);
-  return shape;
+  return Chain::New(ShapeFor(config_.s_initial_buckets, 1));
 }
 
 template <typename Cell>
 void BasicCuckooGraph<Cell>::AttachChain(VertexEntry* e, Chain* c) {
   e->has_chain = true;
   e->chain = ChainRef{c, c->shape()};
-}
-
-// A superseded or dropped block may still be probed by an optimistic
-// reader that copied the owning vertex entry before the writer swapped
-// or detached it, so it rides the limbo list when a reclaimer is wired
-// up.
-template <typename Cell>
-void BasicCuckooGraph<Cell>::Retire(Chain* c) {
-  if (reclaimer_ != nullptr) {
-    reclaimer_->Retire([c] { Chain::Delete(c); });
-  } else {
-    Chain::Delete(c);
-  }
 }
 
 template <typename Cell>
@@ -532,22 +520,8 @@ void BasicCuckooGraph<Cell>::ChainInsert(VertexEntry* e, Cell cell,
              static_cast<double>(e->chain.block->num_cells())) {
     GrowChain(e);
   }
-  while (true) {
-    // Newest table first: older tables run near capacity by design, the
-    // freshly appended one has the headroom.
-    Chain* c = e->chain.block;
-    for (uint32_t t = c->shape().num_tables; t-- > 0;) {
-      if (c->Place(t, &cell, k, h1_, h2_, config_.max_kicks, &rng_,
-                   &s_stats_.kicks)) {
-        return;
-      }
-      // A failed Place hands back a different homeless survivor.
-      k = Hash(cell.v);
-    }
-    if (config_.enable_deny_list && c->Park(cell)) {
-      ++denylist_parks_;
-      return;
-    }
+  while (!PlaceOrPark(e->chain.block, &cell, k, &s_stats_)) {
+    k = Hash(cell.v);
     GrowChain(e);
   }
 }
@@ -567,46 +541,9 @@ void BasicCuckooGraph<Cell>::GrowChain(VertexEntry* e) {
   // new head, and a fresh empty half-size second table is created
   // (unless R = 1 caps the chain at a single table).
   ++s_stats_.merges;
-  ReplaceChain(e, RebuildChain(c, size_t{head} * 2,
-                               /*with_second=*/config_.max_chain_tables >= 2));
-}
-
-template <typename Cell>
-typename BasicCuckooGraph<Cell>::Chain* BasicCuckooGraph<Cell>::RebuildChain(
-    const Chain& c, size_t head_buckets, bool with_second) {
-  head_buckets = std::max<size_t>(1, head_buckets);
-  std::vector<Cell> items;
-  items.reserve(c.size());
-  c.ForEach([&items](const Cell& cell) { items.push_back(cell); });
-  const auto deny_capacity =
-      config_.enable_deny_list ? static_cast<uint32_t>(config_.denylist_limit)
-                               : 0u;
-  while (true) {
-    Chain* fresh = Chain::New(ChainShapeFor(head_buckets, with_second ? 2 : 1));
-    bool ok = true;
-    for (const Cell& orig : items) {
-      Cell moved = orig;
-      internal::KeyHashes k = Hash(moved.v);
-      bool placed = false;
-      for (uint32_t t = 0; t < fresh->shape().num_tables && !placed; ++t) {
-        placed = fresh->Place(t, &moved, k, h1_, h2_, config_.max_kicks,
-                              &rng_, &s_stats_.kicks);
-        if (!placed) k = Hash(moved.v);
-      }
-      if (placed) continue;
-      if (fresh->deny_count() < deny_capacity && fresh->Park(moved)) {
-        continue;
-      }
-      ok = false;
-      break;
-    }
-    if (ok) {
-      s_stats_.rehash_moves += items.size();
-      return fresh;
-    }
-    Chain::Delete(fresh);
-    head_buckets *= 2;
-  }
+  ReplaceChain(e, Refill(c, ShapeFor(size_t{head} * 2,
+                                     config_.max_chain_tables >= 2 ? 2 : 1),
+                         &s_stats_));
 }
 
 template <typename Cell>
@@ -617,18 +554,17 @@ void BasicCuckooGraph<Cell>::MaybeReverseTransform(VertexEntry* e) {
     Cell moved[kInlineSlots];
     uint32_t count = 0;
     c->ForEach([&moved, &count](const Cell& cell) { moved[count++] = cell; });
-    FreeChain(c);
     e->has_chain = false;
     for (uint32_t i = 0; i < count; ++i) SetInlineCell(e, i, moved[i]);
+    FreeChain(c);
     ++reverse_transformations_;
     return;
   }
   const size_t head = c->shape().head;
   if (head > config_.s_initial_buckets &&
       static_cast<size_t>(e->degree) * 4 < c->num_cells()) {
-    ReplaceChain(e, RebuildChain(*c,
-                                 std::max(config_.s_initial_buckets, head / 2),
-                                 /*with_second=*/false));
+    const size_t shrunk = std::max(config_.s_initial_buckets, head / 2);
+    ReplaceChain(e, Refill(*c, ShapeFor(shrunk, 1), &s_stats_));
     ++reverse_transformations_;
   }
 }
@@ -653,28 +589,13 @@ template <typename Cell>
 CUCKOOGRAPH_NO_SANITIZE_THREAD bool
 BasicCuckooGraph<Cell>::OptimisticFindVertex(NodeId u,
                                              VertexEntry* out) const {
-  const auto* block = l_.reader_block();
-  if (block == nullptr) return false;
-  const size_t slot =
-      internal::CuckooTable<VertexEntry>::FindSlotIn(*block, u, h1_, h2_);
-  if (slot != internal::kNoSlot) {
-    *out = block->cells[slot];
-    return true;
-  }
-  // The denylist scan is bounded by the published count, never the
-  // vector's own (unsynchronized) size; both stay within the capacity
-  // reserved at construction.
-  const uint32_t count =
-      std::min(reader_l_deny_count_.load(std::memory_order_acquire),
-               static_cast<uint32_t>(config_.denylist_limit));
-  const VertexEntry* deny = l_denylist_.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    if (deny[i].key == u) {
-      *out = deny[i];
-      return true;
-    }
-  }
-  return false;
+  // The acquire pairs with RebuildL's release store, so the pinned
+  // block's header (its immutable shape) is fully written.
+  const LTable* l = l_.load(std::memory_order_acquire);
+  const VertexEntry* e = LTable::Find(l, l->shape(), u, Hash(u));
+  if (e == nullptr) return false;
+  *out = *e;
+  return true;
 }
 
 template <typename Cell>

@@ -7,13 +7,14 @@
 // DENYLISTs so growth stays load-driven, and the reverse transformation
 // tightens the structure again under deletions.
 //
-// Storage layout:
-//  - the L-CHT is a CuckooTable of VertexEntry cells: key, degree, and
-//    either the inline slots or the vertex's chain pointer (48 B in the
-//    unweighted store);
-//  - an S-CHT chain is one internal::ChainBlock allocation: its geometry
-//    and denylist in a header, then every table's buckets, each bucket's
-//    fingerprints next to its cells (see internal/chain_block.h);
+// Storage layout: both table families are internal::CuckooBlocks, one
+// allocation each holding the geometry and denylist in a header, then
+// every table's buckets, each bucket's fingerprints next to its cells
+// (see internal/cuckoo_block.h).
+//  - the L-CHT is a one-table block of VertexEntry cells: vertex id,
+//    degree, and either the inline slots or the vertex's chain (48 B in
+//    the unweighted store);
+//  - an S-CHT chain is a block of up to R tables of neighbour cells;
 //  - the stored cell is a template parameter: the unweighted stores keep
 //    neighbour ids only, the weighted store adds a uint32_t weight.
 #ifndef CUCKOOGRAPH_CORE_CUCKOO_GRAPH_H_
@@ -33,8 +34,7 @@
 #include "common/types.h"
 #include "core/config.h"
 #include "core/graph_store.h"
-#include "core/internal/chain_block.h"
-#include "core/internal/cuckoo_table.h"
+#include "core/internal/cuckoo_block.h"
 #include "core/internal/epoch.h"
 #include "core/internal/simd_probe.h"
 
@@ -148,11 +148,12 @@ class BasicCuckooGraph : public GraphStore {
   // and the epoch pin that keeps retired allocations alive; the methods
   // below own crash-safety: they never dereference a pointer that was
   // copied out of racing storage without validating it first. A reader
-  // takes the chain pointer from its validated VertexEntry copy and the
-  // chain's geometry from the block it pins, which never changes.
+  // takes the chain pointer and shape from its validated VertexEntry
+  // copy, and the L-CHT's geometry from the block it pins, which never
+  // changes.
 
-  // Routes reader-reachable frees (replaced L-CHT bucket blocks, replaced
-  // or dropped chain blocks) through `r` instead of freeing inline. Must
+  // Routes reader-reachable frees (replaced L-CHT blocks, replaced or
+  // dropped chain blocks) through `r` instead of freeing inline. Must
   // be set before the first optimistic reader can run; nullptr (the
   // default) frees immediately, which is correct for single-threaded use.
   void set_reclaimer(internal::Reclaimer* r) { reclaimer_ = r; }
@@ -181,20 +182,20 @@ class BasicCuckooGraph : public GraphStore {
   uint64_t GetEdgeWeight(NodeId u, NodeId v) const;
 
  private:
-  using Chain = internal::ChainBlock<Cell>;
+  using Chain = internal::CuckooBlock<Cell>;
 
   // A chain vertex's block and a copy of its immutable shape, written
   // together on every swap: probes address the candidate buckets from
   // the copy instead of waiting for the block's header line.
   struct ChainRef {
     Chain* block;
-    internal::ChainShape shape;
+    internal::BlockShape shape;
   };
 
-  // One L-CHT cell payload: the vertex and its adjacency, either inline
+  // One L-CHT cell: the vertex `v` and its adjacency, either inline
   // (first kInlineSlots neighbours) or an owned S-CHT chain block.
   struct VertexEntry {
-    NodeId key = 0;
+    NodeId v = 0;
     uint32_t degree = 0;
     bool has_chain = false;
     union {
@@ -202,9 +203,8 @@ class BasicCuckooGraph : public GraphStore {
       ChainRef chain;
     };
     VertexEntry() : inline_{} {}
-    // The L-CHT's optimistic probe reads keys through this.
-    CUCKOOGRAPH_NO_SANITIZE_THREAD NodeId CuckooKey() const { return key; }
   };
+  using LTable = internal::CuckooBlock<VertexEntry>;
 
   class NeighborCursorImpl;
   class NodeCursorImpl;
@@ -224,10 +224,11 @@ class BasicCuckooGraph : public GraphStore {
   void AppendNeighbor(VertexEntry* e, const Cell& cell);
   void PlaceVertex(VertexEntry entry);
   // Rebuilds the L-CHT at new_buckets (doubling further on placement
-  // failure) and re-places the denylist.
+  // failure) and swaps it in.
   void RebuildL(size_t new_buckets);
   void MaybeShrinkL();
-  void RemoveVertex(NodeId u);
+  // Unlinks `e` from the L-CHT, then frees its chain.
+  void RemoveVertex(VertexEntry* e);
 
   static Cell InlineCell(const VertexEntry& e, uint32_t i);
   static void SetInlineCell(VertexEntry* e, uint32_t i, const Cell& cell);
@@ -235,27 +236,37 @@ class BasicCuckooGraph : public GraphStore {
     return internal::HashKey(v, h1_, h2_);
   }
 
+  // ---- Blocks (the L-CHT and every S-CHT chain) ----
+  // A block is replaced, never resized: the structural changes build a
+  // new block, point the owner at it and retire the old.
+  internal::BlockShape ShapeFor(size_t head_buckets,
+                                uint32_t num_tables) const;
+  // Places *item in `b`, newest table first, else parks it in b's
+  // denylist. False, with the homeless survivor in *item, when both fail.
+  template <typename T>
+  bool PlaceOrPark(internal::CuckooBlock<T>* b, T* item,
+                   internal::KeyHashes k, TableStats* stats);
+  // A new block of `shape` holding every item of `old`: each is placed
+  // into tables 0..n-1, else parked; when neither fits, the head doubles
+  // and the refill starts over. Charges kicks and moves to *stats.
+  template <typename T>
+  internal::CuckooBlock<T>* Refill(const internal::CuckooBlock<T>& old,
+                                   internal::BlockShape shape,
+                                   TableStats* stats);
+  // Frees a superseded or dropped block, through the reclaimer when one
+  // is set.
+  template <typename T>
+  void Retire(internal::CuckooBlock<T>* b);
+
   // ---- S-CHT chains ----
-  // A chain block is replaced, never resized: the structural changes
-  // below build a new block, point the entry at it and retire the old.
   Chain* NewChain();
-  internal::ChainShape ChainShapeFor(size_t head_buckets,
-                                     uint32_t num_tables) const;
   static void AttachChain(VertexEntry* e, Chain* c);
   void TransformToChain(VertexEntry* e);
   void ChainInsert(VertexEntry* e, Cell cell, internal::KeyHashes k);
   void GrowChain(VertexEntry* e);
-  // A new block with the given head size holding every item of `c`;
-  // with_second also creates the fresh half-size second table of the
-  // Table II merge step.
-  Chain* RebuildChain(const Chain& c, size_t head_buckets,
-                      bool with_second);
   void ReplaceChain(VertexEntry* e, Chain* fresh);
   void MaybeReverseTransform(VertexEntry* e);
-  // Drops a vertex's chain (FreeChain) / a superseded block (Retire);
-  // both go through the reclaimer when one is set.
   void FreeChain(Chain* c);
-  void Retire(Chain* c);
 
   // Lock-free vertex probe behind TryQueryEdge/TryOutDegree: copies the
   // entry out, to be validated by the caller before anything in it (the
@@ -263,17 +274,17 @@ class BasicCuckooGraph : public GraphStore {
   CUCKOOGRAPH_NO_SANITIZE_THREAD
   bool OptimisticFindVertex(NodeId u, VertexEntry* out) const;
 
+  // Writer-side view of the L-CHT: writers are serialized by the owner,
+  // so relaxed is enough.
+  LTable* l_table() const { return l_.load(std::memory_order_relaxed); }
+
   Config config_;
   BobHash h1_;
   BobHash h2_;
   SplitMix64 rng_;
-  internal::CuckooTable<VertexEntry> l_;
-  // Reserved to denylist_limit at construction and only ever mutated in
-  // place (push/pop/assign within capacity), so data() is stable and an
-  // optimistic reader may scan the first reader_l_deny_count_ entries
-  // without touching the vector's own (unsynchronized) bookkeeping.
-  std::vector<VertexEntry> l_denylist_;
-  std::atomic<uint32_t> reader_l_deny_count_{0};
+  // The L-CHT. The writer swaps it with a release store after a rebuild
+  // (retiring the old block); optimistic readers acquire it.
+  std::atomic<LTable*> l_;
   internal::Reclaimer* reclaimer_ = nullptr;
   size_t num_edges_ = 0;
   TableStats l_stats_;

@@ -1,12 +1,17 @@
-// One per-vertex S-CHT chain (up to R cuckoo tables plus the chain's
-// DENYLIST) in a single heap allocation, so a neighbour probe costs its
-// candidate buckets instead of a pointer chase through per-table objects
-// and parallel arrays.
+// The store's one cuckoo hash table type: up to R tables plus their
+// DENYLIST in a single heap allocation, so a probe costs its candidate
+// buckets instead of a pointer chase through per-table objects and
+// parallel arrays. Both table families of the paper are blocks of it:
+//
+//  - the L-CHT is a one-table block of vertex entries, swapped whole by
+//    a rebuild;
+//  - each per-vertex S-CHT chain is a block of neighbour cells whose
+//    tables follow the Table II sequence.
 //
 // Layout (byte offsets from the block start):
 //
 //   [header]       the shape (table count, head bucket count, cells per
-//                  bucket d, denylist capacity), the chain's size, the
+//                  bucket d, denylist capacity), the block's size, the
 //                  denylist count, then each table's size
 //   [Cell x cap]   the denylist, edited in place (count published to
 //                  optimistic readers with a release store)
@@ -16,22 +21,28 @@
 //   [tail pad]     only when a bucket is shorter than the probe's
 //                  16-byte fingerprint load (d < 4), see simd_probe.h
 //
-// The shape is immutable: a structural change — the Table II append, the
-// merge-and-double, the reverse shrink — builds a new block and the owner
-// swaps its pointer, retiring the old block through the epoch Reclaimer.
-// The owner keeps a copy of the shape next to the pointer, so a probe
-// addresses every candidate bucket without first waiting for the header
-// line. A lock-free reader that holds a validated (pointer, shape) pair
-// therefore always probes a self-consistent geometry, and the only torn
-// state it can see is cell contents and the denylist count, which are
-// bounded by the shape and rejected by its seqlock validation.
+// The shape is immutable: a structural change — an L-CHT doubling or
+// shrink, the Table II append, the merge-and-double, the reverse shrink —
+// builds a new block and the owner swaps its pointer, retiring the old
+// block through the epoch Reclaimer. Probes take the shape as an
+// argument: a chain's owner keeps a copy of it next to the pointer, so a
+// probe addresses every candidate bucket without first waiting for the
+// header line; the L-CHT's probe reads it from the header of the block
+// it pinned. A lock-free reader that holds a validated (pointer, shape)
+// pair therefore always probes a self-consistent geometry, and the only
+// torn state it can see is cell contents and the denylist count, which
+// are bounded by the shape and rejected by its seqlock validation.
+//
+// Cells must be trivially copyable and expose their key as a NodeId
+// member `v`. A block is plain malloc'd memory with a trivial destructor,
+// so a retired block is released with std::free (internal/epoch.h).
 //
 // Placement keeps the paper's algorithm: `h % num_buckets` bucket choice
 // per table from the two shared hash functions, random-walk kick-out
 // bounded by T, items treated as interchangeable (a failed Place leaves
 // the homeless survivor in *item for the caller to park or re-place).
-#ifndef CUCKOOGRAPH_CORE_INTERNAL_CHAIN_BLOCK_H_
-#define CUCKOOGRAPH_CORE_INTERNAL_CHAIN_BLOCK_H_
+#ifndef CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_BLOCK_H_
+#define CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_BLOCK_H_
 
 #include <algorithm>
 #include <atomic>
@@ -47,17 +58,38 @@
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "core/internal/cuckoo_table.h"
 #include "core/internal/simd_probe.h"
 
 namespace cuckoograph::internal {
 
-// Upper bound on a chain's table count (Config::max_chain_tables is
+inline constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+// Upper bound on a block's table count (Config::max_chain_tables is
 // clamped to it), so a probe's candidate buckets fit a stack array.
 inline constexpr uint32_t kMaxChainTables = 16;
 
-// The hashes a chain probe needs, computed once per key: every table of
-// a chain shares the two hash functions and differs only in its bucket
+// Key -> nonzero fingerprint byte, from a fixed mixer so the same key maps
+// to the same fingerprint in every table (the bucket hashes vary with the
+// table's length, the fingerprint does not).
+CUCKOOGRAPH_ALWAYS_INLINE uint8_t KeyFingerprint(NodeId key) {
+  uint32_t x = static_cast<uint32_t>(key) * 0x9E3779B1u;
+  x ^= x >> 15;
+  const uint8_t f = static_cast<uint8_t>(x >> 24);
+  return f == 0 ? 1 : f;
+}
+
+// Bucket `h % num_buckets`. The default geometries (Table II's halving and
+// doubling, the L-CHT's doubling) keep bucket counts at powers of two,
+// which take a mask; any other count takes a 32-bit divide, since the
+// hash is 32 bits wide.
+CUCKOOGRAPH_ALWAYS_INLINE size_t BucketIndex(uint32_t h, size_t num_buckets) {
+  if ((num_buckets & (num_buckets - 1)) == 0) return h & (num_buckets - 1);
+  if (num_buckets > UINT32_MAX) return h;
+  return h % static_cast<uint32_t>(num_buckets);
+}
+
+// The hashes a probe needs, computed once per key: every table of a
+// block shares the two hash functions and differs only in its bucket
 // count, and the fingerprint is table-independent.
 struct KeyHashes {
   uint32_t h1;
@@ -70,11 +102,12 @@ CUCKOOGRAPH_ALWAYS_INLINE KeyHashes HashKey(NodeId key, const BobHash& h1,
   return KeyHashes{h1(key), h2(key), KeyFingerprint(key)};
 }
 
-// A chain's geometry. The Table II sequence keeps every table after the
+// A block's geometry. The Table II sequence keeps every table after the
 // head at max(1, head / 2) buckets — an append adds one of that length, a
 // merge builds [2h, h], a shrink builds [h / 2] — so the head's bucket
 // count and the table count fix each table's bucket count and offset.
-struct ChainShape {
+// The L-CHT is the one-table case.
+struct BlockShape {
   uint32_t head = 0;
   uint16_t num_tables = 0;
   uint16_t d = 0;  // cells per bucket
@@ -91,14 +124,14 @@ struct ChainShape {
 };
 
 template <typename Cell>
-class ChainBlock {
+class CuckooBlock {
   static_assert(std::is_trivially_copyable_v<Cell>,
-                "chain cells are moved with memcpy");
+                "cells are moved with memcpy");
 
  public:
   // An empty block of the given shape.
-  static ChainBlock* New(const ChainShape& shape) {
-    ChainBlock* b = Allocate(shape);
+  static CuckooBlock* New(const BlockShape& shape) {
+    CuckooBlock* b = Allocate(shape);
     std::memset(b->table_sizes(), 0, shape.num_tables * sizeof(uint32_t));
     std::memset(Bucket(b, shape, 0), 0,
                 size_t{shape.total_buckets()} * Stride(shape.d));
@@ -108,10 +141,10 @@ class ChainBlock {
   // A copy of `old` with one more, empty table of max(1, head / 2)
   // buckets appended: every existing bucket, the denylist and the sizes
   // are copied byte for byte, so no stored item moves.
-  static ChainBlock* Append(const ChainBlock& old) {
-    ChainShape shape = old.shape_;
+  static CuckooBlock* Append(const CuckooBlock& old) {
+    BlockShape shape = old.shape_;
     ++shape.num_tables;
-    ChainBlock* b = Allocate(shape);
+    CuckooBlock* b = Allocate(shape);
     std::memcpy(b->table_sizes(), old.table_sizes(),
                 old.shape_.num_tables * sizeof(uint32_t));
     b->table_sizes()[old.shape_.num_tables] = 0;
@@ -126,16 +159,18 @@ class ChainBlock {
     return b;
   }
 
-  static void Delete(ChainBlock* b) {
-    if (b == nullptr) return;
-    b->~ChainBlock();
+  // Releases a block. Nothing to destroy: a retired block is freed by
+  // the same std::free from the epoch limbo list.
+  static void Delete(CuckooBlock* b) {
+    static_assert(std::is_trivially_destructible_v<CuckooBlock>,
+                  "blocks are released with std::free");
     std::free(b);
   }
 
-  ChainBlock(const ChainBlock&) = delete;
-  ChainBlock& operator=(const ChainBlock&) = delete;
+  CuckooBlock(const CuckooBlock&) = delete;
+  CuckooBlock& operator=(const CuckooBlock&) = delete;
 
-  const ChainShape& shape() const { return shape_; }
+  const BlockShape& shape() const { return shape_; }
   // Stored items, denylist included.
   size_t size() const { return size_; }
   size_t num_cells() const {
@@ -157,7 +192,7 @@ class ChainBlock {
   // writer tears cell contents (the caller's sequence validation rejects
   // the answer).
   CUCKOOGRAPH_NO_SANITIZE_THREAD
-  static const Cell* Find(const ChainBlock* b, const ChainShape& s,
+  static const Cell* Find(const CuckooBlock* b, const BlockShape& s,
                           NodeId key, const KeyHashes& k) {
     __builtin_prefetch(b);
     const uint8_t* candidates[2 * kMaxChainTables];
@@ -175,10 +210,10 @@ class ChainBlock {
     return nullptr;
   }
 
-  static Cell* Find(ChainBlock* b, const ChainShape& s, NodeId key,
+  static Cell* Find(CuckooBlock* b, const BlockShape& s, NodeId key,
                     const KeyHashes& k) {
     return const_cast<Cell*>(
-        Find(static_cast<const ChainBlock*>(b), s, key, k));
+        Find(static_cast<const CuckooBlock*>(b), s, key, k));
   }
 
   // ---- Writer-side operations ----------------------------------------------
@@ -192,7 +227,7 @@ class ChainBlock {
     const uint32_t d = shape_.d;
     const uint32_t num_buckets = shape_.num_buckets(t);
     uint32_t& table_size = table_sizes()[t];
-    if (table_size == num_buckets * d) return false;
+    if (table_size == size_t{num_buckets} * d) return false;
     uint8_t* first = Bucket(this, shape_, shape_.first_bucket(t));
     const size_t stride = Stride(d);
     for (int attempt = 0; attempt <= max_kicks; ++attempt) {
@@ -224,7 +259,8 @@ class ChainBlock {
     return false;
   }
 
-  // Appends `cell` to the denylist; false when it is full.
+  // Appends `cell` to the denylist; false when it is full (always, for a
+  // block shaped without one).
   bool Park(const Cell& cell) {
     const uint32_t count = deny_count();
     if (count == shape_.deny_capacity) return false;
@@ -266,9 +302,9 @@ class ChainBlock {
     ForEachFrom(&pos, SIZE_MAX, fn);
   }
 
-  // Resumable ForEach for cursors: writes up to `capacity` neighbour ids
-  // from flat position *pos on (cells in ForEach order, empty cells
-  // included in the count) and advances *pos.
+  // Resumable ForEach for cursors: writes up to `capacity` keys from
+  // flat position *pos on (cells in ForEach order, empty cells included
+  // in the count) and advances *pos.
   size_t CopyKeys(size_t* pos, NodeId* out, size_t capacity) const {
     size_t written = 0;
     ForEachFrom(pos, capacity,
@@ -277,8 +313,7 @@ class ChainBlock {
   }
 
  private:
-  ChainBlock() = default;
-  ~ChainBlock() = default;
+  CuckooBlock() = default;
 
   static constexpr size_t AlignUp(size_t x, size_t a) {
     return (x + a - 1) / a * a;
@@ -290,11 +325,11 @@ class ChainBlock {
   static constexpr size_t Stride(uint32_t d) {
     return FingerprintBytes(d) + size_t{d} * sizeof(Cell);
   }
-  static constexpr size_t DenyAt(const ChainShape& s) {
-    return AlignUp(sizeof(ChainBlock) + s.num_tables * sizeof(uint32_t),
+  static constexpr size_t DenyAt(const BlockShape& s) {
+    return AlignUp(sizeof(CuckooBlock) + s.num_tables * sizeof(uint32_t),
                    alignof(Cell));
   }
-  static constexpr size_t BucketsAt(const ChainShape& s) {
+  static constexpr size_t BucketsAt(const BlockShape& s) {
     return DenyAt(s) + size_t{s.deny_capacity} * sizeof(Cell);
   }
   // The probe loads fingerprints 16 bytes at a time; a bucket shorter
@@ -303,33 +338,33 @@ class ChainBlock {
     const size_t probe_bytes = AlignUp(d, kBytePadding);
     return probe_bytes > Stride(d) ? probe_bytes - Stride(d) : 0;
   }
-  static size_t Bytes(const ChainShape& s) {
+  static size_t Bytes(const BlockShape& s) {
     return BucketsAt(s) + size_t{s.total_buckets()} * Stride(s.d) +
            TailBytes(s.d);
   }
 
-  static ChainBlock* Allocate(const ChainShape& shape) {
+  static CuckooBlock* Allocate(const BlockShape& shape) {
     const size_t bytes = Bytes(shape);
     void* raw = std::malloc(bytes);
     if (raw == nullptr) throw std::bad_alloc();
-    auto* b = new (raw) ChainBlock();
+    auto* b = new (raw) CuckooBlock();
     b->shape_ = shape;
     const size_t tail = TailBytes(shape.d);
     std::memset(static_cast<uint8_t*>(raw) + bytes - tail, 0, tail);
     return b;
   }
 
-  static const uint8_t* Bucket(const ChainBlock* b, const ChainShape& s,
+  static const uint8_t* Bucket(const CuckooBlock* b, const BlockShape& s,
                                uint32_t index) {
     return reinterpret_cast<const uint8_t*>(b) + BucketsAt(s) +
            size_t{index} * Stride(s.d);
   }
-  static uint8_t* Bucket(ChainBlock* b, const ChainShape& s,
+  static uint8_t* Bucket(CuckooBlock* b, const BlockShape& s,
                          uint32_t index) {
     return const_cast<uint8_t*>(
-        Bucket(static_cast<const ChainBlock*>(b), s, index));
+        Bucket(static_cast<const CuckooBlock*>(b), s, index));
   }
-  static const Cell* Deny(const ChainBlock* b, const ChainShape& s) {
+  static const Cell* Deny(const CuckooBlock* b, const BlockShape& s) {
     return reinterpret_cast<const Cell*>(
         reinterpret_cast<const uint8_t*>(b) + DenyAt(s));
   }
@@ -343,7 +378,7 @@ class ChainBlock {
   // Fills `out` with every table's candidate buckets (b2 skipped when it
   // equals b1), prefetching each; returns how many.
   CUCKOOGRAPH_NO_SANITIZE_THREAD
-  static uint32_t Candidates(const ChainBlock* b, const ChainShape& s,
+  static uint32_t Candidates(const CuckooBlock* b, const BlockShape& s,
                              const KeyHashes& k, const uint8_t** out) {
     const uint8_t* first = Bucket(b, s, 0);
     const size_t stride = Stride(s.d);
@@ -363,11 +398,19 @@ class ChainBlock {
     return n;
   }
 
-  // Both lines of a bucket that straddles a cache-line boundary.
+  // Every cache line of a bucket. The matching cell can sit in any of
+  // them: a chain bucket (40 B at d = 8) may straddle two lines, an
+  // L-CHT bucket of 48 B vertex entries (392 B at d = 8) spans seven,
+  // and fetching only its first and last line left the middle ones as
+  // serial misses.
   CUCKOOGRAPH_ALWAYS_INLINE static void Prefetch(const uint8_t* bucket,
                                                  size_t stride) {
-    __builtin_prefetch(bucket);
-    __builtin_prefetch(bucket + stride - 1);
+    constexpr uintptr_t kLine = 64;
+    const auto start = reinterpret_cast<uintptr_t>(bucket);
+    for (uintptr_t line = start & ~(kLine - 1); line < start + stride;
+         line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
   }
 
   // Lane of `key` in `bucket`, or kNoSlot.
@@ -424,7 +467,7 @@ class ChainBlock {
   const Cell* deny() const { return Deny(this, shape_); }
 
   // Immutable after Allocate.
-  ChainShape shape_;
+  BlockShape shape_;
   // Mutable by the writer; readers bound their denylist scan by the
   // published count, clamped to the shape's capacity. Each table's size
   // follows the header as uint32_t[num_tables] (writer-only).
@@ -434,4 +477,4 @@ class ChainBlock {
 
 }  // namespace cuckoograph::internal
 
-#endif  // CUCKOOGRAPH_CORE_INTERNAL_CHAIN_BLOCK_H_
+#endif  // CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_BLOCK_H_

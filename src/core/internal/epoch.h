@@ -2,9 +2,9 @@
 // path of the sharded store. An optimistic reader probes a shard's
 // structures without holding the stripe lock, so a concurrent writer
 // must never free memory the reader could still be dereferencing —
-// instead, writers *retire* replaced allocations (old bucket blocks,
-// whole S-CHT chains) into a limbo list, and the limbo list frees an
-// entry only once every reader that could have seen it has exited.
+// instead, writers *retire* replaced cuckoo blocks (the L-CHT's, and
+// S-CHT chains') into a limbo list, and the limbo list frees an entry
+// only once every reader that could have seen it has exited.
 //
 // The protocol:
 //  - A reader claims a slot in the EpochManager before its first probe,
@@ -28,8 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <cstdlib>
 #include <vector>
 
 namespace cuckoograph::internal {
@@ -42,10 +41,10 @@ class Reclaimer {
  public:
   virtual ~Reclaimer() = default;
 
-  // Defers running `deleter` until no optimistic reader that was active
-  // at the time of the call can still hold a reference into the retired
-  // allocation.
-  virtual void Retire(std::function<void()> deleter) = 0;
+  // Defers std::free(block) until no optimistic reader that was active
+  // at the time of the call can still hold a reference into it. `block`
+  // is malloc'd memory needing no destructor (a cuckoo block).
+  virtual void Retire(void* block) = 0;
 };
 
 // Validation token for one seqlock-protected optimistic probe. The owner
@@ -166,20 +165,20 @@ class LimboList {
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
 
-  // Registers `deleter` for an allocation retired at `retire_epoch`.
-  void Push(uint64_t retire_epoch, std::function<void()> deleter) {
-    entries_.push_back(Entry{retire_epoch, std::move(deleter)});
+  // Registers malloc'd `block`, retired at `retire_epoch`.
+  void Push(uint64_t retire_epoch, void* block) {
+    entries_.push_back(Entry{retire_epoch, block});
   }
 
   // Frees every entry retired strictly before `min_pinned_epoch` (pass
   // EpochManager::MinPinned(); UINT64_MAX frees everything).
   void DrainUpTo(uint64_t min_pinned_epoch) {
     size_t kept = 0;
-    for (Entry& entry : entries_) {
+    for (const Entry& entry : entries_) {
       if (entry.retire_epoch < min_pinned_epoch) {
-        entry.deleter();
+        std::free(entry.block);
       } else {
-        entries_[kept++] = std::move(entry);
+        entries_[kept++] = entry;
       }
     }
     entries_.resize(kept);
@@ -192,7 +191,7 @@ class LimboList {
  private:
   struct Entry {
     uint64_t retire_epoch;
-    std::function<void()> deleter;
+    void* block;
   };
   std::vector<Entry> entries_;
 };

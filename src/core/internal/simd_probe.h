@@ -11,17 +11,17 @@
 //
 // Overread contract: the SIMD paths load 16 bytes at a time, so a byte
 // run of `count` bytes handed to MatchByteMask must stay readable up to
-// the next multiple of 16 bytes past its start. The L-CHT's CuckooTable
-// pads its fingerprint array by kBytePadding. An S-CHT chain bucket
-// (chain_block.h) stores its d fingerprint bytes directly before its d
-// cells, so the load runs on into the bucket's own cells; a bucket
-// shorter than the load (only d < 4) gets zeroed tail bytes at the end of
-// the chain block. Key arrays handed to MatchKeyMask must hold kKeyLanes
-// readable entries regardless of `count` (CuckooGraph sizes its
-// inline-slot arrays at kKeyLanes). Bits past `count` are always masked
-// off, so whatever the overread covers never influences a result. The
-// scalar backend reads exactly `count` entries; CI builds it with
-// CUCKOOGRAPH_DISABLE_SIMD so both layouts stay tested.
+// the next multiple of 16 bytes past its start. Every cuckoo bucket (the
+// L-CHT's and the S-CHT chains', see cuckoo_block.h) stores its d
+// fingerprint bytes directly before its d cells, so the load runs on
+// into the bucket's own cells; a bucket shorter than the load (only
+// d < 4) gets zeroed tail bytes at the end of its block. Key arrays
+// handed to MatchKeyMask must hold kKeyLanes readable entries regardless
+// of `count` (CuckooGraph sizes its inline-slot arrays at kKeyLanes).
+// Bits past `count` are always masked off, so whatever the overread
+// covers never influences a result. The scalar backend reads exactly
+// `count` entries; CI builds it with CUCKOOGRAPH_DISABLE_SIMD so both
+// layouts stay tested.
 #ifndef CUCKOOGRAPH_CORE_INTERNAL_SIMD_PROBE_H_
 #define CUCKOOGRAPH_CORE_INTERNAL_SIMD_PROBE_H_
 
@@ -58,8 +58,9 @@ inline constexpr uint64_t LowBits(size_t count) {
 
 // ---- Always-compiled scalar reference paths --------------------------------
 
-CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMaskScalar(const uint8_t* bytes, size_t count,
-                                    uint8_t needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMaskScalar(const uint8_t* bytes,
+                                                       size_t count,
+                                                       uint8_t needle) {
   uint64_t mask = 0;
   for (size_t i = 0; i < count; ++i) {
     mask |= static_cast<uint64_t>(bytes[i] == needle) << i;
@@ -67,8 +68,9 @@ CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMaskScalar(const uint8_t* bytes, siz
   return mask;
 }
 
-CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMaskScalar(const NodeId* keys, size_t count,
-                                   NodeId needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMaskScalar(const NodeId* keys,
+                                                      size_t count,
+                                                      NodeId needle) {
   uint32_t mask = 0;
   for (size_t i = 0; i < count; ++i) {
     mask |= static_cast<uint32_t>(keys[i] == needle) << i;
@@ -83,8 +85,8 @@ CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMaskScalar(const NodeId* keys, size_t
 inline const char* ProbeBackendName() { return "sse2"; }
 
 // Bitmask of bytes[i] == needle over i in [0, count), count <= 64.
-CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes, size_t count,
-                              uint8_t needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes,
+                                                 size_t count, uint8_t needle) {
   const __m128i splat = _mm_set1_epi8(static_cast<char>(needle));
   uint64_t mask = 0;
   for (size_t i = 0; i < count; i += 16) {
@@ -98,8 +100,8 @@ CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes, size_t co
 }
 
 // Bitmask of keys[i] == needle over i in [0, count), count <= kKeyLanes.
-CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys, size_t count,
-                             NodeId needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys,
+                                                size_t count, NodeId needle) {
   const __m128i splat = _mm_set1_epi32(static_cast<int>(needle));
   const __m128i lo =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys));
@@ -116,8 +118,8 @@ CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys, size_t count
 
 inline const char* ProbeBackendName() { return "neon"; }
 
-CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes, size_t count,
-                              uint8_t needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes,
+                                                 size_t count, uint8_t needle) {
   static const uint8_t kBitsPerLane[16] = {1, 2, 4, 8, 16, 32, 64, 128,
                                            1, 2, 4, 8, 16, 32, 64, 128};
   const uint8x16_t splat = vdupq_n_u8(needle);
@@ -133,8 +135,8 @@ CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes, size_t co
   return mask & LowBits(count);
 }
 
-CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys, size_t count,
-                             NodeId needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys,
+                                                size_t count, NodeId needle) {
   static const uint32_t kBitsPerLane[4] = {1, 2, 4, 8};
   const uint32x4_t splat = vdupq_n_u32(needle);
   const uint32x4_t lane_bits = vld1q_u32(kBitsPerLane);
@@ -150,13 +152,13 @@ CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys, size_t count
 
 inline const char* ProbeBackendName() { return "scalar"; }
 
-CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes, size_t count,
-                              uint8_t needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint64_t MatchByteMask(const uint8_t* bytes,
+                                                 size_t count, uint8_t needle) {
   return MatchByteMaskScalar(bytes, count, needle);
 }
 
-CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys, size_t count,
-                             NodeId needle) {
+CUCKOOGRAPH_ALWAYS_INLINE uint32_t MatchKeyMask(const NodeId* keys,
+                                                size_t count, NodeId needle) {
   return MatchKeyMaskScalar(keys, count, needle);
 }
 

@@ -37,7 +37,7 @@
 // bounded number of times before falling back to the shared-lock path,
 // so progress is always guaranteed. Memory reclamation is epoch-based:
 // readers pin an epoch for the duration of a probe, and writers push
-// replaced allocations (bucket blocks, retired chains) onto the shard's
+// replaced or dropped blocks (the L-CHT's, chains') onto the shard's
 // limbo list, drained only once no pinned reader could still reach
 // them (src/core/internal/epoch.h). The two lock-free entry helpers are
 // the only functions excluded from the thread-safety analysis; the
@@ -49,10 +49,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -164,10 +162,16 @@ class ShardedCuckooGraph : public GraphStore {
     // i.e. with mu held exclusively. The call arrives through the
     // un-annotated interface pointer, so the capability is re-anchored
     // with an assertion instead of a REQUIRES the base can't carry.
-    void Retire(std::function<void()> deleter) override {
+    // A long write (a bulk InsertEdges slice, such as a snapshot
+    // restore) drains as it goes instead of holding every superseded
+    // block until EndWrite. That is safe mid-write: the graph unlinks a
+    // block before retiring it, and a reader pins before it probes.
+    void Retire(void* block) override {
       mu.AssertHeld();
-      limbo.Push(epochs.Advance(), std::move(deleter));
+      limbo.Push(epochs.Advance(), block);
+      if (limbo.size() >= kDrainAt) limbo.DrainUpTo(epochs.MinPinned());
     }
+    static constexpr size_t kDrainAt = 32;
 
     mutable SharedMutex mu;
     CuckooGraph graph CUCKOOGRAPH_GUARDED_BY(mu);

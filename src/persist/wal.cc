@@ -62,8 +62,8 @@ std::string EncodeWalRecord(uint64_t lsn, WalOp op, Span<const Edge> edges) {
     PutU32(&frame, e.u);
     PutU32(&frame, e.v);
   }
-  const uint32_t crc =
-      Crc32c(frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes);
+  const uint32_t crc = Crc32c(frame.data() + kFrameHeaderBytes,
+                              frame.size() - kFrameHeaderBytes);
   frame[4] = static_cast<char>(crc);
   frame[5] = static_cast<char>(crc >> 8);
   frame[6] = static_cast<char>(crc >> 16);

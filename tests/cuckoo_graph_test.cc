@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/cuckoo_graph.h"
+#include "core/sharded_cuckoo_graph.h"
 #include "core/weighted_cuckoo_graph.h"
 
 namespace cuckoograph {
@@ -238,6 +239,80 @@ TEST(CuckooGraphTest, DenyListDisabledStaysCorrect) {
   }
 }
 
+// Vertices parked in the L-CHT's denylist: d = 1 and T = 1 make nearly
+// every L-CHT placement fail, and one-edge vertices stay inline, so every
+// park is an L-CHT park. A one-shard ShardedCuckooGraph with the same
+// config places identically and answers through its lock-free probe.
+TEST(CuckooGraphTest, LTableDenylistParksStayReachable) {
+  Config config;
+  config.l_initial_buckets = 1;
+  config.cells_per_bucket = 1;
+  config.max_kicks = 1;
+  config.denylist_limit = 8;
+  config.num_shards = 1;
+  CuckooGraph graph(config);
+  ShardedCuckooGraph sharded(config);
+  constexpr NodeId kVertices = 2'000;
+  const auto id = [](NodeId i) { return i * 2654435761u; };
+  std::set<NodeId> live;
+
+  const auto check_all = [&] {
+    std::vector<NodeId> nodes;
+    graph.ForEachNode([&nodes](NodeId u) { nodes.push_back(u); });
+    std::sort(nodes.begin(), nodes.end());
+    ASSERT_EQ(nodes, std::vector<NodeId>(live.begin(), live.end()));
+    ASSERT_EQ(graph.NumNodes(), live.size());
+    for (const NodeId u : live) {
+      ASSERT_TRUE(graph.QueryEdge(u, u + 1)) << u;
+      ASSERT_FALSE(graph.QueryEdge(u, u + 2)) << u;
+    }
+  };
+
+  // The denylist is known to be non-empty after an insertion that parked
+  // without a rebuild, until the next rebuild re-places it.
+  bool parked = false;
+  int parked_checks = 0;
+  for (NodeId i = 0; i < kVertices; ++i) {
+    const GraphStats before = graph.stats();
+    ASSERT_TRUE(graph.InsertEdge(id(i), id(i) + 1));
+    ASSERT_TRUE(sharded.InsertEdge(id(i), id(i) + 1));
+    live.insert(id(i));
+    const GraphStats after = graph.stats();
+    if (after.l.expansions != before.l.expansions) {
+      parked = false;
+    } else if (after.denylist_parks != before.denylist_parks) {
+      parked = true;
+    }
+    if (i % 50 != 49 || !parked) continue;
+    ++parked_checks;
+    check_all();
+    if (HasFatalFailure()) return;
+    const auto locked_before = sharded.read_path_stats().locked;
+    for (const NodeId u : live) {
+      ASSERT_TRUE(sharded.QueryEdge(u, u + 1)) << u;
+      ASSERT_FALSE(sharded.QueryEdge(u, u + 2)) << u;
+    }
+    EXPECT_EQ(sharded.read_path_stats().locked, locked_before);
+  }
+  EXPECT_GT(parked_checks, 0);
+  EXPECT_EQ(sharded.stats().denylist_parks, graph.stats().denylist_parks);
+  EXPECT_EQ(graph.stats().num_chains, 0u);
+
+  const size_t peak = graph.MemoryBytes();
+  for (NodeId i = 0; i < kVertices; ++i) {
+    ASSERT_TRUE(graph.DeleteEdge(id(i), id(i) + 1));
+    live.erase(id(i));
+    ASSERT_FALSE(graph.QueryEdge(id(i), id(i) + 1)) << i;
+    if (i % 50 == 49) {
+      check_all();
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(graph.NumEdges(), 0u);
+  EXPECT_EQ(graph.NumNodes(), 0u);
+  EXPECT_LT(graph.MemoryBytes(), peak / 4);
+}
+
 TEST(CuckooGraphTest, MemoryShrinksAfterMassDeletion) {
   CuckooGraph graph;
   std::vector<Edge> edges;
@@ -357,6 +432,13 @@ void CheckAgainstModel(const Store& store, const ChurnModel& model) {
     expected[edge.first].push_back(edge.second);
   }
   ASSERT_EQ(store.NumNodes(), expected.size());
+  // Nodes() yields every source exactly once.
+  std::vector<NodeId> nodes;
+  store.ForEachNode([&nodes](NodeId u) { nodes.push_back(u); });
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<NodeId> sources;
+  for (const auto& [u, neighbors] : expected) sources.push_back(u);
+  ASSERT_EQ(nodes, sources);
   for (uint64_t i = 0; i < kChurnSources; ++i) {
     const NodeId u = ChurnId(i);
     std::vector<NodeId> seen;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/internal/cuckoo_table.h"
+#include "core/internal/cuckoo_block.h"
 #include "core/internal/simd_probe.h"
 #include "gtest/gtest.h"
 
