@@ -83,7 +83,10 @@ const std::vector<Figure>& AllFigures() {
        "V-E6", analytics, smoke, RunAnalyticsFigure},
       {"fig16", "Local Clustering Coefficient running time (V-E7)", "V-E7",
        analytics, smoke, RunAnalyticsFigure},
-      {"fig17", "CuckooGraph on Redis-sim (Mops through RESP)", "V-F",
+      {"fig17",
+       "CuckooGraph as a Redis module over TCP RESP (Mops, 1 client, "
+       "no pipelining, oracle-checked)",
+       "V-F",
        {kScale, kCsv, kAlpha, kReads}, smoke, RunFig17},
       {"fig18", "Neo4j-sim running time (seconds)", "V-G", {kScale, kCsv},
        smoke, RunFig18},

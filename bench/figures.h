@@ -65,13 +65,16 @@ int RunTable3(const Figure& figure, const Flags& flags);
 // analytics_figures.cc: Figures 10-16, one AnalyticsFigureSpec per id.
 int RunAnalyticsFigure(const Figure& figure, const Flags& flags);
 
-// integration_figures.cc: the Redis and Neo4j integrations.
-int RunFig17(const Figure& figure, const Flags& flags);
+// integration_figures.cc: the Neo4j integration.
 int RunFig18(const Figure& figure, const Flags& flags);
 
-// scalability_figure.cc / served_figure.cc: beyond the paper.
-int RunScalability(const Figure& figure, const Flags& flags);
+// served_figure.cc: the Redis integration (Figure 17) and the
+// served-traffic sweep beyond the paper, over one TCP server harness.
+int RunFig17(const Figure& figure, const Flags& flags);
 int RunServed(const Figure& figure, const Flags& flags);
+
+// scalability_figure.cc: beyond the paper.
+int RunScalability(const Figure& figure, const Flags& flags);
 
 }  // namespace cuckoograph::bench
 

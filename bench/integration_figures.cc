@@ -1,8 +1,7 @@
-// The integration figures: CuckooGraph as a Redis module (Figure 17,
-// Section V-F) and as a Neo4j edge index (Figure 18, Section V-G).
+// The Neo4j integration figure: CuckooGraph as a Neo4j edge index
+// (Figure 18, Section V-G). The Redis integration (Figure 17) runs over
+// the TCP server in served_figure.cc.
 #include <cstdio>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -11,104 +10,8 @@
 #include "figures.h"
 #include "neo4j_sim/indexed_property_graph.h"
 #include "neo4j_sim/property_graph.h"
-#include "redis_sim/cuckoograph_module.h"
-#include "redis_sim/module_host.h"
-#include "served_workload.h"
 
 namespace cuckoograph::bench {
-
-namespace {
-
-using redis_sim::RespType;
-using redis_sim::RespValue;
-using redis_sim::SimClient;
-
-// Runs the shared Zipf read/write mix through the sim, oracle-checking
-// every reply, on a fresh server so the oracle starts from empty.
-// Returns Mops, or a negative value if any reply diverged.
-double RunMixedPhase(size_t n, double alpha, double read_frac) {
-  redis_sim::RedisServerSim server;
-  redis_sim::CuckooGraphModule module;
-  module.Register(&server);
-  SimClient client(&server);
-
-  const std::vector<MixedOp> ops =
-      MakeZipfMix(/*seed=*/4242, n, /*base=*/1, /*range=*/4096,
-                  /*values=*/4096, alpha, read_frac);
-  std::unordered_set<uint64_t> live;
-  size_t mismatches = 0;
-  WallTimer timer;
-  for (const MixedOp& op : ops) {
-    const RespValue reply = client.Execute(
-        {CommandFor(op.kind), std::to_string(op.e.u), std::to_string(op.e.v)});
-    const long long expected = OracleReply(&live, op.kind, op.e);
-    if (reply.type != RespType::kInteger || reply.integer != expected) {
-      ++mismatches;
-    }
-  }
-  const double mops = Mops(ops.size(), timer.ElapsedSeconds());
-  if (mismatches != 0) {
-    std::fprintf(stderr, "FAIL: mixed phase: %zu replies diverged\n",
-                 mismatches);
-    return -1.0;
-  }
-  return mops;
-}
-
-}  // namespace
-
-// Figure 17: CuckooGraph-on-Redis throughput (Section V-F). Every
-// operation round-trips through the simulated Redis host: RESP encoding,
-// request parsing, command dispatch and reply decoding — the protocol
-// overhead responsible for the drop from CPU-native Mops to the
-// ~0.04-0.05 Mops range the paper reports on a real Redis.
-//
-// The CSV schema (Insertion / Query / Deletion / Mixed(zipf)) matches
-// the served figure, so the in-process sim and the epoll TCP server
-// numbers diff column-for-column: same Zipf mix generator, same oracle
-// reply check, minus the kernel socket.
-int RunFig17(const Figure& figure, const Flags& flags) {
-  const double user_scale = flags.GetDouble("scale", 1.0);
-  const double alpha = flags.GetDouble("alpha", 1.5);
-  const double read_frac = flags.GetDouble("reads", 0.5);
-
-  PrintHeader(figure.id, figure.title, ServedSchemaColumns());
-  bool ok = true;
-  for (const std::string& dataset_name :
-       {std::string("CAIDA"), std::string("StackOverflow")}) {
-    const datasets::Dataset dataset =
-        MakeBenchDataset(dataset_name, user_scale);
-    const std::vector<Edge> distinct = datasets::DedupEdges(dataset.stream);
-
-    redis_sim::RedisServerSim server;
-    redis_sim::CuckooGraphModule module;
-    module.Register(&server);
-    SimClient client(&server);
-
-    auto run = [&client](const char* cmd, const std::vector<Edge>& edges) {
-      WallTimer timer;
-      for (const Edge& e : edges) {
-        client.Execute({cmd, std::to_string(e.u), std::to_string(e.v)});
-      }
-      return Mops(edges.size(), timer.ElapsedSeconds());
-    };
-
-    const double insert_mops = run("CG.INSERT", dataset.stream);
-    const double query_mops = run("CG.QUERY", dataset.stream);
-    const double delete_mops = run("CG.DEL", distinct);
-    const double mixed_mops =
-        RunMixedPhase(dataset.stream.size(), alpha, read_frac);
-    ok = ok && mixed_mops >= 0.0;
-    PrintRow(figure.id,
-             {dataset_name, FmtMops(insert_mops), FmtMops(query_mops),
-              FmtMops(delete_mops),
-              FmtMops(mixed_mops < 0.0 ? 0.0 : mixed_mops)});
-  }
-  std::printf("(paper: ~0.04-0.05 Mops on real Redis, whose native peak "
-              "was ~0.16 Mops on the authors' server; diff against the "
-              "served figure's --csv for the over-socket numbers)\n");
-  return ok ? 0 : 1;
-}
 
 // Figure 18: Neo4j with and without the CuckooGraph edge index (Section
 // V-G). Methodology: insert the first 1M CAIDA edges (scaled) into the

@@ -1,7 +1,6 @@
 #include "baselines/store_factory.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "baselines/adjacency_list_store.h"
 #include "baselines/hash_map_store.h"
@@ -24,7 +23,7 @@ const char* InnerSchemeFor(const std::string& durable_name) {
   return nullptr;
 }
 
-// Registry instantiation of a durable scheme: an owned mkdtemp dir
+// Table instantiation of a durable scheme: an owned mkdtemp dir
 // (removed with the store) and no per-op fdatasync.
 std::unique_ptr<GraphStore> MakeTempDirDurable(const std::string& name) {
   std::string error;
@@ -43,110 +42,66 @@ std::unique_ptr<GraphStore> MakeTempDirDurable(const std::string& name) {
   return store;
 }
 
-struct Registry {
-  std::vector<std::pair<std::string, StoreFactory>> entries;
+template <typename Store>
+std::unique_ptr<GraphStore> Make() {
+  return std::make_unique<Store>();
+}
+
+struct Scheme {
+  const char* name;
+  std::unique_ptr<GraphStore> (*make)();
 };
 
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
-}
-
-bool AddEntry(std::string name, StoreFactory factory) {
-  Registry& registry = GetRegistry();
-  for (const auto& [existing, f] : registry.entries) {
-    if (existing == name) return false;
-  }
-  registry.entries.emplace_back(std::move(name), std::move(factory));
-  return true;
-}
-
-// The built-ins are registered lazily (not via cross-TU static
-// initializers, whose order is unspecified and which static libraries may
-// drop) so the bench column order is always the paper's: CuckooGraph,
-// then the LiveGraph / Spruce / Sortledton stand-ins. Every public entry
-// point (RegisterStore included, so StoreRegistrar statics cannot jump the
-// queue) funnels through here first.
-void EnsureBuiltins() {
-  static const bool done = [] {
-    AddEntry("CuckooGraph", [] { return std::make_unique<CuckooGraph>(); });
-    AddEntry("AdjacencyList", [] {
-      return std::make_unique<baselines::AdjacencyListStore>();
-    });
-    AddEntry("HashMap",
-             [] { return std::make_unique<baselines::HashMapStore>(); });
-    AddEntry("SortedVector", [] {
-      return std::make_unique<baselines::SortedVectorStore>();
-    });
+// Every scheme, in column order: CuckooGraph, then the LiveGraph /
+// Spruce / Sortledton stand-ins (the paper's comparison columns).
+constexpr Scheme kSchemes[] = {
+    {"CuckooGraph", Make<CuckooGraph>},
+    {"AdjacencyList", Make<baselines::AdjacencyListStore>},
+    {"HashMap", Make<baselines::HashMapStore>},
+    {"SortedVector", Make<baselines::SortedVectorStore>},
     // The extended (weighted) store trails the paper's comparison columns;
     // weight-requiring benches (fig11 SSSP) find it via Capabilities().
-    AddEntry("cuckoo-weighted",
-             [] { return std::make_unique<WeightedCuckooGraph>(); });
+    {"cuckoo-weighted", Make<WeightedCuckooGraph>},
     // The concurrent sharded front-end (Config::num_shards shards at the
-    // default geometry); the only built-in advertising thread-safe ops.
-    AddEntry("cuckoo-sharded",
-             [] { return std::make_unique<ShardedCuckooGraph>(); });
+    // default geometry); the only scheme advertising thread-safe ops.
+    {"cuckoo-sharded", Make<ShardedCuckooGraph>},
     // WAL+snapshot decorators over the single-threaded and sharded
-    // structures. Registry instances live in an owned temp dir with
-    // syncs off, so the comparison benches measure the logging cost
-    // without every cell paying an fdatasync; the durability benches
-    // and crash tests open their own instances with explicit dirs and
-    // sync modes through MakeDurableStoreByName.
-    AddEntry("cuckoo-durable", [] {
-      return MakeTempDirDurable("cuckoo-durable");
-    });
-    AddEntry("cuckoo-sharded-durable", [] {
-      return MakeTempDirDurable("cuckoo-sharded-durable");
-    });
-    return true;
-  }();
-  (void)done;
-}
+    // structures. These instances live in an owned temp dir with syncs
+    // off, so the comparison benches measure the logging cost without
+    // every cell paying an fdatasync; the durability benches and crash
+    // tests open their own instances with explicit dirs and sync modes
+    // through MakeDurableStoreByName.
+    {"cuckoo-durable", [] { return MakeTempDirDurable("cuckoo-durable"); }},
+    {"cuckoo-sharded-durable",
+     [] { return MakeTempDirDurable("cuckoo-sharded-durable"); }},
+};
 
-std::string JoinSchemeNames() {
-  std::string joined;
-  for (const auto& [name, factory] : GetRegistry().entries) {
-    if (!joined.empty()) joined += ", ";
-    joined += name;
-  }
-  return joined;
-}
-
-// Registry lookup shared by MakeStoreByName and ParseSchemesFlag; throws
+// Table lookup shared by MakeStoreByName and ParseSchemesFlag; throws
 // the one canonical unknown-name error.
-const StoreFactory& FindEntry(const std::string& name) {
-  for (const auto& [candidate, factory] : GetRegistry().entries) {
-    if (candidate == name) return factory;
+const Scheme& FindScheme(const std::string& name) {
+  std::string joined;
+  for (const Scheme& scheme : kSchemes) {
+    if (scheme.name == name) return scheme;
+    joined += std::string(joined.empty() ? "" : ", ") + scheme.name;
   }
   throw std::invalid_argument("unknown scheme '" + name +
-                              "'; valid schemes: " + JoinSchemeNames());
+                              "'; valid schemes: " + joined);
 }
 
 }  // namespace
 
-bool RegisterStore(std::string name, StoreFactory factory) {
-  EnsureBuiltins();
-  return AddEntry(std::move(name), std::move(factory));
-}
-
 std::vector<std::string> AllSchemeNames() {
-  EnsureBuiltins();
   std::vector<std::string> names;
-  names.reserve(GetRegistry().entries.size());
-  for (const auto& [name, factory] : GetRegistry().entries) {
-    names.push_back(name);
-  }
+  for (const Scheme& scheme : kSchemes) names.push_back(scheme.name);
   return names;
 }
 
 std::unique_ptr<GraphStore> MakeStoreByName(const std::string& name) {
-  EnsureBuiltins();
-  return FindEntry(name)();
+  return FindScheme(name).make();
 }
 
 std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
     const std::string& name, const persist::DurableOptions& opts) {
-  EnsureBuiltins();
   const char* inner = InnerSchemeFor(name);
   if (inner == nullptr) {
     throw std::invalid_argument(
@@ -163,7 +118,6 @@ std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
 }
 
 std::vector<std::string> ParseSchemesFlag(const std::string& csv) {
-  EnsureBuiltins();
   if (csv.empty()) return AllSchemeNames();
   std::vector<std::string> selected;
   size_t start = 0;
@@ -172,7 +126,7 @@ std::vector<std::string> ParseSchemesFlag(const std::string& csv) {
     const size_t end = comma == std::string::npos ? csv.size() : comma;
     const std::string name = csv.substr(start, end - start);
     if (!name.empty()) {
-      FindEntry(name);  // throws on unknown names
+      FindScheme(name);  // throws on unknown names
       selected.push_back(name);
     }
     if (comma == std::string::npos) break;

@@ -1,22 +1,14 @@
-// Registry-backed GraphStore factory: the comparison benches (Figures 6-9,
-// Table III, the analytics figures) enumerate AllSchemeNames() for their
-// columns and instantiate each scheme with MakeStoreByName().
+// The GraphStore factory: the comparison benches (Figures 6-9, Table III,
+// the analytics figures) enumerate AllSchemeNames() for their columns and
+// instantiate each scheme with MakeStoreByName().
 //
-// The factory registers the built-in schemes itself (CuckooGraph plus the
-// three baseline stand-ins in the paper's column order, then the weighted
-// "cuckoo-weighted" extended store); out-of-tree schemes self-register by
-// defining a static StoreRegistrar in their translation unit:
-//
-//   static const StoreRegistrar kReg("MyStore", [] {
-//     return std::make_unique<MyStore>();
-//   });
-//
-// The registry is not synchronized: register from static initializers or
-// from startup code before any concurrent use, exactly like the built-ins.
+// The schemes are one fixed table in store_factory.cc: CuckooGraph plus
+// the three baseline stand-ins in the paper's column order, then the
+// extended stores (weighted, sharded, and the two durable decorators).
+// A new scheme is a new row there.
 #ifndef CUCKOOGRAPH_BASELINES_STORE_FACTORY_H_
 #define CUCKOOGRAPH_BASELINES_STORE_FACTORY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,13 +18,7 @@
 
 namespace cuckoograph {
 
-using StoreFactory = std::function<std::unique_ptr<GraphStore>()>;
-
-// Adds a scheme to the registry. Returns false (keeping the existing
-// entry) when the name is already taken.
-bool RegisterStore(std::string name, StoreFactory factory);
-
-// Scheme names in registration order, built-ins first.
+// Scheme names in table order (the paper's columns first).
 std::vector<std::string> AllSchemeNames();
 
 // Instantiates the named scheme. Throws std::invalid_argument with a
@@ -43,8 +29,8 @@ std::unique_ptr<GraphStore> MakeStoreByName(const std::string& name);
 // "cuckoo-sharded-durable") over caller-chosen DurableOptions — an
 // explicit directory, sync mode, checkpoint cadence, fault-injection
 // factory. This is how the durability benches and crash tests get a
-// recoverable instance; the registry's own entries of the same names
-// use an ephemeral owned temp dir with syncs off instead. Throws
+// recoverable instance; the table's own entries of the same names use
+// an ephemeral owned temp dir with syncs off instead. Throws
 // std::invalid_argument for a non-durable name, std::runtime_error when
 // the directory cannot be opened/recovered.
 std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
@@ -52,15 +38,8 @@ std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
 
 // Parses a comma-separated scheme list (the benches' --schemes flag),
 // validating each entry through the same unknown-name path as
-// MakeStoreByName. An empty string selects every registered scheme.
+// MakeStoreByName. An empty string selects every scheme.
 std::vector<std::string> ParseSchemesFlag(const std::string& csv);
-
-// Registers a scheme at static-initialization time.
-struct StoreRegistrar {
-  StoreRegistrar(std::string name, StoreFactory factory) {
-    RegisterStore(std::move(name), std::move(factory));
-  }
-};
 
 }  // namespace cuckoograph
 

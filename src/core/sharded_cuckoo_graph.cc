@@ -90,27 +90,6 @@ bool ShardedCuckooGraph::DeleteEdge(NodeId u, NodeId v) {
   return removed;
 }
 
-uint64_t ShardedCuckooGraph::EdgeWeight(NodeId u, NodeId v) const {
-  // The per-shard CuckooGraph stores keys only (a present edge weighs
-  // 1), so the optimistic probe can reuse the presence result; the
-  // locked fallback resolves identically.
-  const Shard& shard = *shards_[ShardIndex(u)];
-  if (optimistic_reads_) {
-    bool present = false;
-    if (TryOptimisticRead(shard, [&](const CuckooGraph& g,
-                                     const internal::SeqValidator& sv) {
-          return g.TryQueryEdge(u, v, sv, &present);
-        })) {
-      shard.optimistic_reads_served.fetch_add(1,
-                                              std::memory_order_relaxed);
-      return present ? 1 : 0;
-    }
-  }
-  shard.locked_reads_served.fetch_add(1, std::memory_order_relaxed);
-  ReaderMutexLock lock(&shard.mu);
-  return shard.graph.EdgeWeight(u, v);
-}
-
 size_t ShardedCuckooGraph::OutDegree(NodeId u) const {
   const Shard& shard = *shards_[ShardIndex(u)];
   if (optimistic_reads_) {

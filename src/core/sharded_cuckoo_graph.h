@@ -86,7 +86,9 @@ class ShardedCuckooGraph : public GraphStore {
   bool InsertEdge(NodeId u, NodeId v) override;
   bool QueryEdge(NodeId u, NodeId v) const override;
   bool DeleteEdge(NodeId u, NodeId v) override;
-  uint64_t EdgeWeight(NodeId u, NodeId v) const override;
+  // EdgeWeight is GraphStore's default (QueryEdge ? 1 : 0), so it takes
+  // QueryEdge's optimistic-then-locked path and counts in
+  // read_path_stats() the same way.
 
   size_t InsertEdges(Span<const Edge> edges) override;
   size_t QueryEdges(Span<const Edge> edges) const override;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <exception>
 #include <utility>
+#include <vector>
 
 namespace cuckoograph::redis_sim {
 namespace {
@@ -27,16 +28,9 @@ std::string ToLower(std::string_view s) {
 
 bool CommandTable::RegisterCommand(std::string_view name, int arity,
                                    CommandHandler handler) {
-  std::string key = ToUpper(name);
-  const auto [it, inserted] =
-      commands_.emplace(key, CommandEntry{arity, std::move(handler)});
-  (void)it;
-  if (inserted) registration_order_.push_back(std::move(key));
-  return inserted;
-}
-
-std::vector<std::string> CommandTable::CommandNames() const {
-  return registration_order_;
+  return commands_
+      .emplace(ToUpper(name), CommandEntry{arity, std::move(handler)})
+      .second;
 }
 
 RespValue CommandTable::Dispatch(Span<const std::string_view> argv) const {
@@ -55,7 +49,6 @@ RespValue CommandTable::Dispatch(Span<const std::string_view> argv) const {
     return RespValue::Error("ERR wrong number of arguments for '" +
                             ToLower(argv[0]) + "' command");
   }
-  dispatched_.fetch_add(1, std::memory_order_relaxed);
   // A throwing handler (e.g. a DurableStore whose WAL has failed) fails
   // its own command, not the connection or the worker thread serving it.
   RespValue reply;
@@ -73,8 +66,6 @@ RespValue CommandTable::Dispatch(Span<const std::string_view> argv) const {
 }
 
 bool RespConnection::Feed(std::string_view bytes, std::string* out) {
-  stats_.bytes_in += bytes.size();
-  const size_t out_start = out->size();
   buffer_.append(bytes.data(), bytes.size());
   bool clean = true;
   size_t pos = 0;
@@ -84,8 +75,6 @@ bool RespConnection::Feed(std::string_view bytes, std::string* out) {
     if (parsed.status == ParseStatus::kIncomplete) break;
     if (parsed.status == ParseStatus::kError) {
       *out += Encode(RespValue::Error("ERR " + parsed.error));
-      ++stats_.error_replies;
-      ++stats_.protocol_errors;
       pos = buffer_.size();  // drop the poisoned stream
       clean = false;
       break;
@@ -94,14 +83,9 @@ bool RespConnection::Feed(std::string_view bytes, std::string* out) {
     if (parsed.argv.empty()) continue;  // blank line / empty multibulk
     std::vector<std::string_view> views(parsed.argv.begin(),
                                         parsed.argv.end());
-    const RespValue reply =
-        table_->Dispatch(Span<const std::string_view>(views));
-    ++stats_.commands;
-    if (reply.IsError()) ++stats_.error_replies;
-    *out += Encode(reply);
+    *out += Encode(table_->Dispatch(Span<const std::string_view>(views)));
   }
   buffer_.erase(0, pos);
-  stats_.bytes_out += out->size() - out_start;
   return clean;
 }
 

@@ -1,15 +1,18 @@
-// The transport-agnostic core of the Redis-protocol front door, carved
-// out of RedisServerSim so the in-process simulation and the real TCP
-// server (src/server/) share exactly one dispatch / protocol code path:
+// The transport-agnostic core of the Redis-protocol front door. There
+// are two ways to reach a registered command family (e.g. the CG.*
+// commands of cuckoograph_module.h): an embedder calls these two classes
+// directly, or a client talks to a TcpRespServer socket
+// (src/server/tcp_server.h), which owns one RespConnection per socket
+// over one shared CommandTable.
 //
 //  - CommandTable: command registration (case-insensitive name, Redis
 //    arity semantics) and request dispatch. One table serves every
-//    connection; its counters are atomic because the TCP server's worker
-//    threads dispatch into a shared table concurrently.
+//    connection; its error counter is atomic because the TCP server's
+//    worker threads dispatch into a shared table concurrently.
 //  - RespConnection: everything that is per-connection — the incremental
-//    RESP2 parse buffer, reply encoding, protocol-error handling and
-//    byte/reply accounting. A transport owns one RespConnection per
-//    client and feeds it whatever byte fragments arrive.
+//    RESP2 parse buffer, reply encoding and protocol-error handling. A
+//    transport owns one RespConnection per client and feeds it whatever
+//    byte fragments arrive.
 //
 // Handlers receive their argv as Span<const std::string_view> views into
 // the connection's parse storage: valid only for the duration of the
@@ -23,7 +26,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/span.h"
 #include "redis_sim/resp.h"
@@ -59,14 +61,9 @@ class CommandTable {
   // dispatch_errors().
   RespValue Dispatch(Span<const std::string_view> argv) const;
 
-  // Registered command names (uppercased), in registration order.
-  std::vector<std::string> CommandNames() const;
-
-  // Counters summed over every connection dispatching into this table.
-  uint64_t commands_dispatched() const {  // handler invocations
-    return dispatched_.load(std::memory_order_relaxed);
-  }
-  uint64_t dispatch_errors() const {  // unknown/arity/handler/throw errors
+  // Error replies summed over every connection dispatching into this
+  // table: unknown command, wrong arity, handler error or throw.
+  uint64_t dispatch_errors() const {
     return dispatch_errors_.load(std::memory_order_relaxed);
   }
 
@@ -77,8 +74,6 @@ class CommandTable {
   };
 
   std::unordered_map<std::string, CommandEntry> commands_;  // key: UPPERCASE
-  std::vector<std::string> registration_order_;
-  mutable std::atomic<uint64_t> dispatched_{0};
   mutable std::atomic<uint64_t> dispatch_errors_{0};
 };
 
@@ -95,19 +90,9 @@ class RespConnection {
   // Feeds request bytes, appending the reply bytes for every completed
   // request to *out. Returns false when the bytes contained a protocol
   // error: the error reply has been appended, the rest of the buffered
-  // input is discarded, and a real transport should close after
-  // flushing (Redis drops the connection; the in-process sim just keeps
-  // feeding — the next Feed starts clean either way).
+  // input is discarded, and a transport should close after flushing, as
+  // Redis drops the connection (the next Feed starts clean either way).
   bool Feed(std::string_view bytes, std::string* out);
-
-  struct Stats {
-    uint64_t commands = 0;         // requests dispatched from this connection
-    uint64_t error_replies = 0;    // arity/unknown/protocol/handler errors
-    uint64_t protocol_errors = 0;  // subset of error_replies: framing errors
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-  };
-  const Stats& stats() const { return stats_; }
 
   // Request bytes received but not yet forming a complete command.
   size_t buffered_bytes() const { return buffer_.size(); }
@@ -115,7 +100,6 @@ class RespConnection {
  private:
   const CommandTable* table_;
   std::string buffer_;  // unconsumed request bytes between Feed calls
-  Stats stats_;
 };
 
 }  // namespace cuckoograph::redis_sim

@@ -1,7 +1,8 @@
 // The CuckooGraph Redis module of Section V-F: a graph store exposed as
 // a CG.* command family on a CommandTable. Mirrors how the paper embeds
-// the structure in Redis — the graph lives inside the server process,
-// and clients reach it only through protocol round trips.
+// the structure in Redis — the graph lives inside the server process
+// (served over a socket by src/server/tcp_server.h), and clients reach
+// it only through protocol round trips.
 //
 // Commands (node ids are decimal uint32 strings; replies follow Redis
 // conventions):
@@ -17,10 +18,8 @@
 #ifndef CUCKOOGRAPH_REDIS_SIM_CUCKOOGRAPH_MODULE_H_
 #define CUCKOOGRAPH_REDIS_SIM_CUCKOOGRAPH_MODULE_H_
 
-#include "core/cuckoo_graph.h"
 #include "core/graph_store.h"
 #include "redis_sim/command_table.h"
-#include "redis_sim/module_host.h"
 
 namespace cuckoograph::redis_sim {
 
@@ -29,27 +28,8 @@ namespace cuckoograph::redis_sim {
 // Capabilities().concurrent_mutations (e.g. cuckoo-sharded) the handlers
 // are safe to dispatch from several server workers at once; CG.NEIGHBORS
 // drains the sharded store's Neighbors() copy, taken under the shard's
-// reader lock.
+// reader lock. Any other store needs a single-worker server.
 void RegisterGraphCommands(CommandTable* table, GraphStore* store);
-
-// The self-contained module: owns a single-threaded CuckooGraph and
-// registers it. For the sim and the single-worker server; multi-worker
-// servers register a concurrent store via RegisterGraphCommands.
-class CuckooGraphModule {
- public:
-  // Registers the CG.* command family on `table`. The module must
-  // outlive the table's use of the handlers (they capture the graph).
-  void Register(CommandTable* table) { RegisterGraphCommands(table, &graph_); }
-
-  // Convenience for the in-process sim wrapper.
-  void Register(RedisServerSim* server) { Register(server->command_table()); }
-
-  // The module's graph, e.g. for state checks in tests.
-  const CuckooGraph& graph() const { return graph_; }
-
- private:
-  CuckooGraph graph_;
-};
 
 }  // namespace cuckoograph::redis_sim
 

@@ -1,8 +1,9 @@
-// RESP2 (REdis Serialization Protocol) codec for the Redis-module
-// simulation of Section V-F. The Figure 17 bench routes every CuckooGraph
-// operation through serialized bytes — multibulk request encoding, request
-// parsing, dispatch, reply encoding, reply parsing — so the measured
-// throughput includes genuine protocol overhead, not a function call.
+// RESP2 (REdis Serialization Protocol) codec for the Redis module of
+// Section V-F. The Figure 17 bench sends every CuckooGraph operation
+// through serialized bytes over a TCP socket — multibulk request
+// encoding, request parsing, dispatch, reply encoding, reply parsing —
+// so the measured throughput includes genuine protocol overhead, not a
+// function call.
 //
 // The subset implemented is what a RESP2 command connection exercises:
 // simple strings (+), errors (-), integers (:), bulk strings ($, including

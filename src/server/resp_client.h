@@ -1,7 +1,6 @@
-// A blocking TCP RESP2 client for driving TcpRespServer: the over-socket
-// counterpart of redis_sim::SimClient. Used by the loopback tests and
-// the served-traffic load generator; one instance per thread (no
-// internal locking).
+// A blocking TCP RESP2 client for driving TcpRespServer. Used by the
+// loopback tests and the Figure 17 / served-traffic load generator; one
+// instance per thread (no internal locking).
 //
 // Two usage shapes:
 //  - Execute(argv): one request, one decoded reply (a full round trip).

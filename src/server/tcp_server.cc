@@ -17,6 +17,7 @@
 namespace cuckoograph::server {
 namespace {
 
+constexpr int kListenBacklog = 128;
 constexpr int kMaxEpollEvents = 64;
 constexpr size_t kReadChunk = 16 * 1024;
 // Pending reply buffers gathered into one sendmsg call. Well under
@@ -71,7 +72,7 @@ bool TcpRespServer::Start(std::string* error) {
     return fail(Errno("getsockname"));
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, config_.backlog) < 0) return fail(Errno("listen"));
+  if (::listen(listen_fd_, kListenBacklog) < 0) return fail(Errno("listen"));
 
   workers_.clear();
   for (int w = 0; w < config_.num_workers; ++w) {
@@ -215,10 +216,9 @@ void TcpRespServer::AcceptPending() {
       if (errno == EINTR) continue;
       return;  // EAGAIN (drained) or a transient accept failure
     }
-    if (config_.tcp_nodelay) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    // Nagle off, so a pipelined burst's replies flush at once.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     const size_t target = next_worker_.fetch_add(1, std::memory_order_relaxed) %
                           workers_.size();

@@ -1,8 +1,9 @@
-// TcpRespServer: the real network service over the Redis-protocol front
-// door. An epoll-based nonblocking TCP server that speaks RESP2 and
-// dispatches every request into a shared CommandTable — the same
-// dispatch/protocol core the in-process RedisServerSim wraps, so the
-// served path adds only sockets, not a second protocol implementation.
+// TcpRespServer: the network service over the Redis-protocol front door.
+// An epoll-based nonblocking TCP server that speaks RESP2 and dispatches
+// every request into a shared CommandTable through one RespConnection
+// per socket — the same dispatch/protocol core an embedder calls
+// directly, so the served path adds only sockets, not a second protocol
+// implementation. Figure 17 and the served sweep run over it.
 //
 // Threading model (see docs/ARCHITECTURE.md for the lifecycle diagram):
 //  - `num_workers` event-loop threads, each running its own epoll set.
@@ -52,8 +53,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;    // 0 = kernel-assigned; read the result via port()
   int num_workers = 1;  // epoll event-loop threads (clamped to >= 1)
-  int backlog = 128;
-  bool tcp_nodelay = true;  // disable Nagle so pipelined replies flush
 };
 
 class TcpRespServer {

@@ -290,10 +290,6 @@ TEST(StoreFactoryTest, ParseSchemesFlagSelectsAndValidates) {
   EXPECT_THROW(ParseSchemesFlag("CuckooGraph,Bogus"), std::invalid_argument);
 }
 
-TEST(StoreFactoryTest, DuplicateRegistrationIsRejected) {
-  EXPECT_FALSE(RegisterStore("CuckooGraph", nullptr));
-}
-
 TEST(StoreFactoryTest, MakeDurableStoreRejectsNonDurableNames) {
   persist::DurableOptions opts;
   opts.dir = "/tmp/never-created";

@@ -177,7 +177,7 @@ TEST_F(TcpRespServerTest, ProtocolErrorRepliesThenClosesTheConnection) {
   const RespValue reply = bad.ReadReply();
   ASSERT_TRUE(reply.IsError());
   EXPECT_NE(reply.text.find("Protocol error"), std::string::npos);
-  // Unlike the in-process sim, the server then drops the client.
+  // Like a real Redis, the server then drops the client.
   EXPECT_THROW(bad.ReadReply(), std::runtime_error);
 
   // Other connections are unaffected.
